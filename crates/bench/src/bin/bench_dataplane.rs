@@ -192,7 +192,7 @@ fn main() {
 
     // --- 2b. iterated SpMV: barriered vs frontier progress tracking --------
     // Same workload through the *current* data plane, per-iteration barrier
-    // vs frontier-based release (capability counts over the progress lane,
+    // vs frontier-based release (completion counts over the `done` lane,
     // iterations pipelining into each other). Both runs produce bitwise
     // identical vectors — tests/distributed.rs proves it — so this measures
     // pure scheduling slack: barrier tasks plus the idle tail each iteration

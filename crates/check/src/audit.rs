@@ -141,7 +141,7 @@ pub fn seeded_lane_deadlock() -> (TaskGraph, Vec<LaneSpec>) {
         .output("out", 8)])
     .expect("trivial graph");
     let lanes = vec![LaneSpec {
-        name: "progress".into(),
+        name: "ring".into(),
         capacity: 2,
         bound: 40,
         cyclic: true,

@@ -1,6 +1,6 @@
 //! Verification tooling for the DOoC reproduction.
 //!
-//! Three subsystems:
+//! Subsystems:
 //!
 //! * [`model`] — an explicit-state model checker over a bounded abstraction
 //!   of the storage layer's request/release protocol (`storage::proto` +
@@ -8,12 +8,6 @@
 //!   clients operating on two blocks and checks the protocol invariants on
 //!   every reachable state. Seedable bugs ([`model::BugConfig`]) prove the
 //!   checker actually catches violations.
-//! * [`progress_model`] — the same exhaustive treatment for the
-//!   capability/frontier progress protocol (`dooc-core::progress` + gated
-//!   release): frontier monotonicity, release-behind-frontier and
-//!   no-stall-under-message-loss over every interleaving of drops,
-//!   deliveries, losses and re-flushes, with seedable leak / early-drop /
-//!   stale-fold bugs.
 //! * [`explore`] (feature `model`) — dooc-shuttle, a deterministic
 //!   interleaving explorer over the *real* runtime types: `dooc-sync`
 //!   primitives run on a virtual cooperative scheduler, and seeded
@@ -52,6 +46,5 @@ pub mod audit;
 pub mod explore;
 pub mod lint;
 pub mod model;
-pub mod progress_model;
 pub mod race;
 pub mod syncgraph;

@@ -185,21 +185,6 @@ impl DoocRuntime {
             graph.len() + 16,
         );
 
-        // Progress lane (frontier mode only): capability-drop change batches
-        // broadcast between workers. Capacity covers one batch per task plus
-        // idle re-flushes, so sends never block; untimed graphs skip the
-        // lane entirely and the wire stays byte-identical to barrier runs.
-        if graph.is_timed() {
-            layout.connect_with(
-                workers,
-                "prog_out",
-                workers,
-                "prog_in",
-                Delivery::Broadcast,
-                2 * graph.len() + 64,
-            );
-        }
-
         let base = cluster.attach_clients(&mut layout, workers, nnodes, "sreq", "srep");
         // Relaxed is enough: the store happens before `Runtime::run` spawns
         // the filter threads, and thread spawn is the happens-before edge
@@ -268,40 +253,23 @@ fn audit_enabled() -> bool {
 }
 
 /// The bounded lanes `run_inner` is about to wire, declared for the
-/// lane-capacity audit. Both worker↔worker broadcast groups loop back to
-/// their own senders, so they are communication cycles: a send must never
-/// block, which the audit proves by `bound ≤ capacity`.
-///
-/// * `done` — one completion message per task, capacity `len + 16`.
-/// * `progress` — one capability-drop batch per timestamped completion plus
-///   at most one cumulative re-flush per worker in flight at a time (the
-///   receiver folds batches idempotently and drains its lane every tick),
-///   against the declared capacity `2·len + 64`. The comment-level sizing
-///   argument from PR 9 becomes a checked fact here.
+/// lane-capacity audit. The one worker↔worker lane is the `done`
+/// broadcast: it loops back to its own senders, so it is a communication
+/// cycle and a send must never block, which the audit proves by
+/// `bound ≤ capacity` — one completion message per task against the
+/// declared capacity `len + 16`. Frontier mode needs no lane of its own:
+/// each worker derives the frontier from the same broadcast.
 ///
 /// Public so `dooc-audit` can report on exactly the lanes the runtime will
-/// wire for a given graph.
-pub fn runtime_lane_specs(graph: &TaskGraph, nnodes: u64) -> Vec<dooc_scheduler::LaneSpec> {
+/// wire for a given graph; the node count does not change the wiring.
+pub fn runtime_lane_specs(graph: &TaskGraph, _nnodes: u64) -> Vec<dooc_scheduler::LaneSpec> {
     let len = graph.len() as u64;
-    let mut lanes = vec![dooc_scheduler::LaneSpec {
+    vec![dooc_scheduler::LaneSpec {
         name: "done".into(),
         capacity: len + 16,
         bound: len,
         cyclic: true,
-    }];
-    if graph.is_timed() {
-        let timestamped = graph
-            .ids()
-            .filter(|&id| graph.task(id).timestamp.is_some())
-            .count() as u64;
-        lanes.push(dooc_scheduler::LaneSpec {
-            name: "progress".into(),
-            capacity: 2 * len + 64,
-            bound: 2 * timestamped + nnodes,
-            cyclic: true,
-        });
-    }
-    lanes
+    }]
 }
 
 /// FNV-1a digest of everything that shapes cluster assembly: node count,

@@ -169,21 +169,28 @@ fn io_error_storm_converges_bitwise() {
     }
 }
 
+/// Iteration modes a peer-message schedule runs under. Frontier runs read
+/// their gates off the same `done` broadcast as barrier runs, so the
+/// fault-free *barrier* run stays the oracle for both.
+const MODES: [IterationMode; 2] = [IterationMode::Barrier, IterationMode::Frontier];
+
 #[test]
 fn peer_message_drop_converges_bitwise() {
     let _g = faultline::test_gate();
     let baseline = run_spmv("chaos-drop-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-drop", IterationMode::Barrier, || {
-            faultline::seed(seed);
-            faultline::configure(
-                "peer_out",
-                faultline::FaultSpec::drop_msg()
-                    .with_prob(0.10)
-                    .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
-            );
-        });
-        assert_bitwise("peer-drop", seed, &got, &baseline);
+    for mode in MODES {
+        for seed in seeds() {
+            let got = run_spmv("chaos-drop", mode, || {
+                faultline::seed(seed);
+                faultline::configure(
+                    "peer_out",
+                    faultline::FaultSpec::drop_msg()
+                        .with_prob(0.10)
+                        .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
+                );
+            });
+            assert_bitwise(&format!("peer-drop/{mode:?}"), seed, &got, &baseline);
+        }
     }
 }
 
@@ -191,65 +198,19 @@ fn peer_message_drop_converges_bitwise() {
 fn peer_message_reorder_converges_bitwise() {
     let _g = faultline::test_gate();
     let baseline = run_spmv("chaos-reorder-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-reorder", IterationMode::Barrier, || {
-            faultline::seed(seed);
-            faultline::configure(
-                "peer_out",
-                faultline::FaultSpec::reorder()
-                    .with_prob(0.25)
-                    .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
-            );
-        });
-        assert_bitwise("peer-reorder", seed, &got, &baseline);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Progress-lane chaos (frontier mode). The oracle is the fault-free
-// *barrier* run: a frontier run must match it bitwise even while its
-// capability-drop batches are being eaten, parked or stalled — drops heal
-// through the cumulative counts' idle re-flush, reorder is absorbed by the
-// max-fold (batches are idempotent and commutative), and delay only shifts
-// when a gate opens, never what the released task reads.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn progress_lane_drop_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-prog-drop-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-prog-drop", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::drop_msg().with_prob(0.10));
-        });
-        assert_bitwise("progress-drop", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_lane_reorder_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-prog-reorder-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-prog-reorder", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::reorder().with_prob(0.25));
-        });
-        assert_bitwise("progress-reorder", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_lane_delay_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv("chaos-prog-delay-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv("chaos-prog-delay", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::delay(2).with_prob(0.20));
-        });
-        assert_bitwise("progress-delay", seed, &got, &baseline);
+    for mode in MODES {
+        for seed in seeds() {
+            let got = run_spmv("chaos-reorder", mode, || {
+                faultline::seed(seed);
+                faultline::configure(
+                    "peer_out",
+                    faultline::FaultSpec::reorder()
+                        .with_prob(0.25)
+                        .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
+                );
+            });
+            assert_bitwise(&format!("peer-reorder/{mode:?}"), seed, &got, &baseline);
+        }
     }
 }
 

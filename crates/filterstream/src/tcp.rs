@@ -55,8 +55,9 @@ use std::time::{Duration, Instant};
 
 /// Handshake magic — first payload bytes on every connection.
 const MAGIC: &[u8; 4] = b"DOOC";
-/// Wire protocol version; bump on any framing change.
-const PROTOCOL_VERSION: u16 = 1;
+/// Wire protocol version; bump on any framing change. Version 2 retired
+/// frame kind 4 (progress batches).
+const PROTOCOL_VERSION: u16 = 2;
 /// How long dials and accepts wait for the rest of the cluster.
 const CONNECT_DEADLINE: Duration = Duration::from_secs(30);
 /// Pause between dial/accept retries.
@@ -318,7 +319,6 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
     let mut w = std::io::BufWriter::with_capacity(WRITE_BUF, stream);
     let bytes_out = metrics::counter("fs.tcp.bytes_out");
     let frames_out = metrics::counter("fs.tcp.frames_out");
-    let progress_out = metrics::counter("fs.tcp.progress_out");
     let mut broken = false;
     'outer: while let Ok(frame) = rx.recv() {
         let mut frame = frame;
@@ -346,9 +346,6 @@ fn writer_loop(stream: TcpStream, rx: Receiver<Frame>, peer: i64) {
                 break 'outer;
             }
             frames_out.inc();
-            if frame.kind == FrameKind::Progress {
-                progress_out.inc();
-            }
             bytes_out.add(frame.wire_len() as u64);
             match rx.try_recv() {
                 Ok(next) => frame = next,
@@ -381,16 +378,11 @@ fn demux_loop(
 ) {
     let bytes_in = metrics::counter("fs.tcp.bytes_in");
     let frames_in = metrics::counter("fs.tcp.frames_in");
-    let progress_in = metrics::counter("fs.tcp.progress_in");
     loop {
         match dec.next_frame() {
             Ok(Some(f)) => {
                 frames_in.inc();
                 match f.kind {
-                    FrameKind::Progress => {
-                        progress_in.inc();
-                        sink.on_frame(peer, f);
-                    }
                     FrameKind::Data | FrameKind::Close => sink.on_frame(peer, f),
                     FrameKind::Hello | FrameKind::Blob => {
                         dooc_obs::instant(

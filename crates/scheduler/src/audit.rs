@@ -6,11 +6,11 @@
 //! is read. This module implements three whole-graph analyses over a
 //! [`TaskGraph`] and its PR-9 gates/timestamps:
 //!
-//! * **Progress-protocol stall detection** ([`audit_progress`]) — a static
+//! * **Frontier stall detection** ([`audit_progress`]) — a static
 //!   frontier simulation over `Timestamp {iter, block}` capabilities that
 //!   proves every gated task is eventually releasable. The simulation
-//!   mirrors the dynamic protocol exactly: a capability is live while its
-//!   timestamped task is incomplete, and a gate closes once no live
+//!   drives the live runs' own `Frontier`: a capability is live while
+//!   its timestamped task is incomplete, and a gate closes once no live
 //!   capability sits at or below it on its block chain. A fixpoint with
 //!   incomplete tasks is a stall, and because every stalled task waits on
 //!   another incomplete task, the wait-for graph (DAG predecessor edges
@@ -43,16 +43,15 @@
 //! * **Channel-capacity deadlock freedom** ([`audit_lanes`]) — the runtime
 //!   declares its bounded lanes as [`LaneSpec`]s (capacity plus a
 //!   worst-case outstanding-message bound derived from the graph). A lane
-//!   on a communication cycle (e.g. the worker↔worker broadcast lanes) can
-//!   only deadlock if a send blocks, and a send can only block if more
+//!   on a communication cycle (e.g. the worker↔worker `done` broadcast)
+//!   can only deadlock if a send blocks, and a send can only block if more
 //!   messages than `capacity` are outstanding — so `bound ≤ capacity` on
-//!   every cyclic lane proves full-cycle waits impossible. The progress
-//!   lane sizing `2·len + 64` becomes a checked fact instead of a comment.
+//!   every cyclic lane proves full-cycle waits impossible.
 //!
 //! [`audit`] runs all three and is what `DoocRuntime::run` calls by default
 //! before assembling the cluster (`DOOC_AUDIT=off` opts out).
 
-use crate::progress::Timestamp;
+use crate::progress::{Frontier, Timestamp};
 use crate::task::{TaskGraph, TaskId};
 use std::collections::{HashMap, HashSet};
 
@@ -70,7 +69,7 @@ const EXACT_ANTICHAIN_LIMIT: usize = 2048;
 /// send can participate in a full-cycle wait.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LaneSpec {
-    /// Lane name (e.g. `done`, `progress`).
+    /// Lane name (e.g. `done`).
     pub name: String,
     /// Configured channel capacity in messages.
     pub capacity: u64,
@@ -221,18 +220,6 @@ pub fn audit(graph: &TaskGraph, budget: u64, lanes: &[LaneSpec]) -> AuditResult<
     Ok(report)
 }
 
-/// Is every capability at or below `gate` held by an incomplete task gone?
-/// Mirrors `FrontierOracle::closed` over the static capability table.
-fn gate_closed(graph: &TaskGraph, done: &[bool], gate: Timestamp) -> bool {
-    graph.ids().all(|id| {
-        done[id.0 as usize]
-            || graph
-                .task(id)
-                .timestamp
-                .is_none_or(|ts| !ts.less_equal(&gate))
-    })
-}
-
 /// Static frontier simulation: proves every task (gated or not) completes.
 ///
 /// Returns the number of gated tasks on success. On a stall, diagnoses the
@@ -268,7 +255,8 @@ pub fn audit_progress(graph: &TaskGraph) -> AuditResult<usize> {
 
     // Worklist fixpoint: run any task whose predecessors completed and
     // whose gates are closed; completing a timestamped task drops its
-    // capability (it is simply no longer live).
+    // capability. "Closed" is the live runs' own `Frontier`.
+    let mut frontier = Frontier::new(graph);
     let mut done = vec![false; n];
     let mut remaining = n;
     let mut gated = 0usize;
@@ -286,8 +274,9 @@ pub fn audit_progress(graph: &TaskGraph) -> AuditResult<usize> {
                 continue;
             }
             let preds_done = graph.preds(id).iter().all(|p| done[p.0 as usize]);
-            let gates_closed = graph.gates(id).all(|g| gate_closed(graph, &done, g));
+            let gates_closed = graph.gates(id).all(|g| frontier.closed(g));
             if preds_done && gates_closed {
+                frontier.complete(id);
                 done[i] = true;
                 remaining -= 1;
                 progressed = true;
@@ -312,7 +301,7 @@ pub fn audit_progress(graph: &TaskGraph) -> AuditResult<usize> {
             }
         }
         for g in graph.gates(id) {
-            if gate_closed(graph, &done, g) {
+            if frontier.closed(g) {
                 continue;
             }
             for h in graph.ids() {
@@ -982,7 +971,7 @@ mod tests {
                 cyclic: true,
             },
             LaneSpec {
-                name: "progress".into(),
+                name: "ring".into(),
                 capacity: 8,
                 bound: 40,
                 cyclic: true,
@@ -995,7 +984,7 @@ mod tests {
                 capacity,
                 required,
             } => {
-                assert_eq!(lane, "progress");
+                assert_eq!(lane, "ring");
                 assert_eq!(capacity, 8);
                 assert_eq!(required, 40);
             }
@@ -1022,7 +1011,7 @@ mod tests {
                 cyclic: true,
             },
             LaneSpec {
-                name: "progress".into(),
+                name: "ring".into(),
                 capacity: 2 * g.len() as u64 + 64,
                 bound: 2 * 3 + 1,
                 cyclic: true,

@@ -39,7 +39,7 @@ pub use audit::{audit, AuditError, AuditReport, LaneSpec};
 pub use dooc_filterstream::NodeId;
 pub use global::{assign_affinity, assign_round_robin, Placement};
 pub use local::{LocalScheduler, MemoryOracle, OrderPolicy};
-pub use progress::{ClosedNever, FrontierOracle, Timestamp};
+pub use progress::Timestamp;
 pub use task::{DataRef, ReadyTracker, TaskGraph, TaskId, TaskSpec};
 
 /// Errors surfaced by the scheduler.

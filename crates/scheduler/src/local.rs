@@ -19,7 +19,7 @@
 //! backwards "automatically … without requiring any effort or input from the
 //! application programmer".
 
-use crate::progress::FrontierOracle;
+use crate::progress::Frontier;
 use crate::task::{ReadyTracker, TaskGraph, TaskId};
 use std::collections::HashSet;
 
@@ -63,9 +63,12 @@ pub struct LocalScheduler {
     /// Ready-but-unscheduled local tasks, in readiness order.
     ready: Vec<TaskId>,
     /// Local tasks whose DAG predecessors are done but whose frontier gates
-    /// are still open; [`LocalScheduler::release_frontier`] moves them to
-    /// `ready` the moment the frontier closes every gate.
+    /// are still open; they move to `ready` the moment the frontier closes
+    /// every gate.
     gated: Vec<TaskId>,
+    /// Cluster-wide frontier, lowered by every completion this scheduler
+    /// observes.
+    frontier: Frontier,
     /// Number of outstanding prefetches to aim for.
     prefetch_window: usize,
     /// Tasks handed out but not yet completed.
@@ -83,21 +86,26 @@ impl LocalScheduler {
     ) -> Self {
         let tracker = ReadyTracker::new(graph);
         let mine: HashSet<TaskId> = mine.into_iter().collect();
-        let (gated, ready) = tracker
+        let gated = tracker
             .initially_ready()
             .into_iter()
             .filter(|t| mine.contains(t))
-            .partition(|&t| graph.gates(t).next().is_some());
-        Self {
+            .collect();
+        let mut ls = Self {
             policy,
             mine,
             tracker,
-            ready,
+            ready: Vec::new(),
             gated,
+            frontier: Frontier::new(graph),
             prefetch_window: 2,
             running: HashSet::new(),
             node: -1,
-        }
+        };
+        // Gates closed from the start (the external iteration 0) and
+        // ungated tasks pass straight through.
+        ls.release(graph);
+        ls
     }
 
     /// Sets the prefetch window (number of upcoming tasks whose inputs are
@@ -114,42 +122,40 @@ impl LocalScheduler {
     }
 
     /// Records a completion (local or remote); newly ready *local* tasks
-    /// enter the ready queue.
+    /// enter the ready queue, and gated ones as soon as the frontier closes
+    /// their gates — so task `(i+1, j)` is released the moment the blocks of
+    /// `x^i` it reads are behind the frontier, while iteration `i`'s tail is
+    /// still executing.
     pub fn on_complete(&mut self, graph: &TaskGraph, id: TaskId) {
         self.running.remove(&id);
+        self.frontier.complete(id);
         for t in self.tracker.complete(graph, id) {
             if self.mine.contains(&t) {
-                if graph.gates(t).next().is_some() {
-                    self.gated.push(t);
-                } else {
-                    self.ready.push(t);
-                }
+                self.gated.push(t);
             }
         }
+        self.release(graph);
     }
 
-    /// Moves gated tasks whose every gate the frontier has closed into the
-    /// ready queue; returns how many were released. The runtime calls this
-    /// whenever the frontier advances — so task `(i+1, j)` is released the
-    /// moment the blocks of `x^i` it reads are behind the frontier, while
-    /// iteration `i`'s tail is still executing.
-    pub fn release_frontier(&mut self, graph: &TaskGraph, oracle: &dyn FrontierOracle) -> usize {
-        let mut released = 0;
-        let mut i = 0;
-        while i < self.gated.len() {
-            let t = self.gated[i];
-            if graph.gates(t).all(|g| oracle.closed(g)) {
-                self.gated.remove(i);
-                self.ready.push(t);
-                released += 1;
-            } else {
-                i += 1;
+    /// Moves every pending task whose gates are all closed (vacuously so
+    /// for ungated tasks) into the ready queue, in arrival order.
+    fn release(&mut self, graph: &TaskGraph) {
+        let frontier = &self.frontier;
+        let mut released = 0u64;
+        let ready = &mut self.ready;
+        self.gated.retain(|&t| {
+            let open = graph.gates(t).any(|g| !frontier.closed(g));
+            if !open {
+                if graph.gates(t).next().is_some() {
+                    released += 1;
+                }
+                ready.push(t);
             }
-        }
+            open
+        });
         if released > 0 && dooc_obs::enabled() {
-            dooc_obs::metrics::counter("sched.frontier_releases").add(released as u64);
+            dooc_obs::metrics::counter("sched.frontier_releases").add(released);
         }
-        released
     }
 
     /// Number of local tasks still held behind open frontier gates.
@@ -475,55 +481,71 @@ mod tests {
 
     #[test]
     fn gated_tasks_wait_for_the_frontier() {
-        use crate::progress::{ClosedNever, Timestamp};
+        use crate::progress::Timestamp;
         let ts = Timestamp::new(1, 0);
+        // Two producers hold the (1, 0) stamp; p_2 reads one of them across
+        // the iteration boundary (no DAG edge, only the gate).
         let g = TaskGraph::new(vec![
-            TaskSpec::new("x_1", "sum").output("x_1", 8).at(ts),
+            TaskSpec::new("x_1a", "sum").output("x_1a", 8).at(ts),
+            TaskSpec::new("x_1b", "sum").output("x_1b", 8).at(ts),
+            TaskSpec::new("y_1", "sum")
+                .output("y_1", 8)
+                .at(Timestamp::new(1, 1)),
             TaskSpec::new("p_2", "multiply")
-                .input_gated("x_1", 8, ts)
+                .input_gated("x_1a", 8, ts)
                 .output("p_2", 8),
         ])
         .expect("valid");
         let oracle: HashSet<String> = HashSet::new();
         let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
-        let t = ls.next_task(&g, &oracle).expect("sum ready");
-        assert_eq!(t, TaskId(0));
-        ls.on_complete(&g, t);
-        // p_2 has no DAG preds left, but its gate is open: not offered.
+        assert_eq!(ls.gated_count(), 1, "p_2 has no DAG preds but an open gate");
+        let mut offered = Vec::new();
+        while let Some(t) = ls.next_task(&g, &oracle) {
+            offered.push(t);
+        }
+        assert_eq!(offered, vec![TaskId(0), TaskId(1), TaskId(2)]);
+        assert!(!ls.idle(), "gated work pending");
+        ls.on_complete(&g, TaskId(0));
+        ls.on_complete(&g, TaskId(2));
+        // One (1, 0) producer is still running; the other chain's
+        // completion does not close this gate.
         assert_eq!(ls.gated_count(), 1);
         assert_eq!(ls.next_task(&g, &oracle), None);
-        assert!(!ls.idle(), "gated work pending");
-        assert_eq!(ls.release_frontier(&g, &ClosedNever), 0);
-        // Once the frontier closes the gate the task is released.
-        struct Closed;
-        impl FrontierOracle for Closed {
-            fn closed(&self, _ts: Timestamp) -> bool {
-                true
-            }
-        }
-        assert_eq!(ls.release_frontier(&g, &Closed), 1);
-        assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(1)));
+        // The last producer at (1, 0) closes the gate and releases p_2.
+        ls.on_complete(&g, TaskId(1));
+        assert_eq!(ls.gated_count(), 0);
+        assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(3)));
+        ls.on_complete(&g, TaskId(3));
+        assert!(ls.idle() && ls.graph_done());
     }
 
     #[test]
-    fn initially_ready_gated_task_starts_in_the_pen() {
+    fn external_iteration_zero_gate_is_released_at_start() {
         use crate::progress::Timestamp;
-        let g = TaskGraph::new(vec![TaskSpec::new("p_1", "multiply")
-            .input_gated("x_0", 8, Timestamp::new(0, 0))
-            .output("p_1", 8)])
+        let g = TaskGraph::new(vec![
+            TaskSpec::new("p_1", "multiply")
+                .input_gated("x_0", 8, Timestamp::new(0, 0))
+                .output("p_1", 8),
+            TaskSpec::new("x_1", "sum")
+                .input("p_1", 8)
+                .output("x_1", 8)
+                .at(Timestamp::new(1, 0)),
+            TaskSpec::new("p_2", "multiply")
+                .input_gated("x_1", 8, Timestamp::new(1, 0))
+                .output("p_2", 8),
+        ])
         .expect("valid");
         let oracle: HashSet<String> = HashSet::new();
         let mut ls = LocalScheduler::new(&g, g.ids(), OrderPolicy::Fifo);
-        assert_eq!(ls.next_task(&g, &oracle), None, "gate still open");
+        // No task is stamped at iteration 0: that gate is closed from the
+        // start, while p_2 waits in the pen for x_1.
         assert_eq!(ls.gated_count(), 1);
-        struct Closed;
-        impl FrontierOracle for Closed {
-            fn closed(&self, _ts: Timestamp) -> bool {
-                true
-            }
-        }
-        assert_eq!(ls.release_frontier(&g, &Closed), 1);
         assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(0)));
+        assert_eq!(ls.next_task(&g, &oracle), None);
+        ls.on_complete(&g, TaskId(0));
+        assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(1)));
+        ls.on_complete(&g, TaskId(1));
+        assert_eq!(ls.next_task(&g, &oracle), Some(TaskId(2)));
     }
 
     #[test]

@@ -1,21 +1,22 @@
-//! Logical timestamps and the frontier oracle interface (ROADMAP item 4).
+//! Logical timestamps and the frontier over them.
 //!
 //! Iterated solves stamp each vector-block producer with a `(iteration,
 //! block)` [`Timestamp`]. Timestamps of the *same* block chain are totally
 //! ordered by iteration; timestamps of different blocks are incomparable —
 //! the partial order of timely dataflow's `progress` module restricted to
-//! per-chain pointstamps. A *frontier* is an antichain of timestamps: for
-//! each block chain, the least iteration that still holds an undropped
-//! capability. A timestamp is *behind* (closed under) the frontier once
-//! every capability at or below it has been dropped, which is exactly when
-//! a consumer may read the block that producer sealed.
+//! per-chain pointstamps. A timestamp is *closed* once every stamped task at
+//! or below it on its chain has completed, which is exactly when a consumer
+//! may read the block that producer sealed.
 //!
-//! This module holds only the pure vocabulary — the timestamp type, its
-//! order, a dense `u64` packing for wire tags and digests, and the
-//! [`FrontierOracle`] trait the local scheduler consults when releasing
-//! gated tasks. The capability accounting and change-batch plumbing that
-//! *implement* the oracle live in `dooc-core::progress` (they need the
-//! runtime's lanes); the scheduler stays pure policy.
+//! Timely needs a separate progress protocol because its operators never
+//! observe global completions. DOoC workers do: every completion reaches
+//! every local scheduler on the `done` broadcast, and every task's stamp is
+//! in the shared [`TaskGraph`]. So the `Frontier` is a plain per-node
+//! count — built from the graph, lowered by each completion — and the
+//! static audit drives its stall simulation through the same type.
+
+use crate::task::{TaskGraph, TaskId};
+use std::collections::BTreeMap;
 
 /// A logical time in an iterated solve: iteration `iter` of vector-block
 /// chain `block`.
@@ -62,35 +63,58 @@ impl std::fmt::Display for Timestamp {
     }
 }
 
-/// The frontier the local scheduler consults before releasing a gated task.
+/// Per-chain counts of stamped tasks that have not completed yet.
 ///
-/// Implementations track capability counts (one per timestamped producer,
-/// dropped when the producer completes and its outputs are sealed) and
-/// answer: is `ts` *behind* the frontier — i.e. have all capabilities at or
-/// below `ts` on its block chain been dropped? Once `closed(ts)` returns
-/// `true` it must never return `false` again (frontiers do not retreat);
-/// the model-checker invariant 9 and the shuttle tier both enforce this.
-pub trait FrontierOracle {
-    /// Is every capability at or below `ts` dropped (so every array sealed
-    /// at `ts` is safe to read)?
-    fn closed(&self, ts: Timestamp) -> bool;
+/// Counts start at the graph's stamp totals and only ever fall, so a
+/// timestamp that is [`Frontier::closed`] stays closed: the frontier never
+/// retreats.
+pub(crate) struct Frontier {
+    /// Incomplete stamped tasks keyed by `(block, iter)`, so one chain is a
+    /// contiguous range. Entries are removed when they reach zero.
+    pending: BTreeMap<(u32, u32), u64>,
+    /// Each task's stamp, indexed by task id.
+    stamps: Vec<Option<Timestamp>>,
 }
 
-/// The trivial oracle of barriered runs: nothing is ever behind the
-/// frontier, so gated inputs would never release. Barrier-mode graphs have
-/// no gates, making this the correct (and vacuous) default.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ClosedNever;
+impl Frontier {
+    /// Counts every stamped task of `graph` as incomplete.
+    pub(crate) fn new(graph: &TaskGraph) -> Self {
+        let stamps: Vec<Option<Timestamp>> =
+            graph.ids().map(|id| graph.task(id).timestamp).collect();
+        let mut pending = BTreeMap::new();
+        for ts in stamps.iter().flatten() {
+            *pending.entry((ts.block, ts.iter)).or_insert(0) += 1;
+        }
+        Self { pending, stamps }
+    }
 
-impl FrontierOracle for ClosedNever {
-    fn closed(&self, _ts: Timestamp) -> bool {
-        false
+    /// Counts `id` as completed; a no-op for unstamped tasks.
+    pub(crate) fn complete(&mut self, id: TaskId) {
+        let Some(ts) = self.stamps.get(id.0 as usize).copied().flatten() else {
+            return;
+        };
+        let key = (ts.block, ts.iter);
+        if let Some(n) = self.pending.get_mut(&key) {
+            *n -= 1;
+            if *n == 0 {
+                self.pending.remove(&key);
+            }
+        }
+    }
+
+    /// Is no incomplete task on `ts`'s chain stamped at or below `ts`?
+    pub(crate) fn closed(&self, ts: Timestamp) -> bool {
+        self.pending
+            .range((ts.block, 0)..=(ts.block, ts.iter))
+            .next()
+            .is_none()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::task::TaskSpec;
 
     #[test]
     fn same_chain_ordered_by_iteration() {
@@ -128,8 +152,107 @@ mod tests {
         assert!(Timestamp::new(1, 5).pack() < Timestamp::new(2, 5).pack());
     }
 
+    /// Three iterations of two block chains, two stamped producers per
+    /// `(iter, block)`, each gated on the previous iteration of its chain.
+    fn timed_graph() -> TaskGraph {
+        let mut tasks = Vec::new();
+        for i in 1..=3u32 {
+            for b in 0..2u32 {
+                for half in 0..2 {
+                    tasks.push(
+                        TaskSpec::new(format!("x_{i}_{b}_{half}"), "sum")
+                            .input_gated(
+                                format!("x_{}_{b}_{half}", i - 1),
+                                8,
+                                Timestamp::new(i - 1, b),
+                            )
+                            .output(format!("x_{i}_{b}_{half}"), 8)
+                            .at(Timestamp::new(i, b)),
+                    );
+                }
+            }
+        }
+        TaskGraph::new(tasks).expect("valid")
+    }
+
     #[test]
-    fn closed_never_is_vacuous() {
-        assert!(!ClosedNever.closed(Timestamp::new(0, 0)));
+    fn external_iteration_zero_is_closed_from_the_start() {
+        let f = Frontier::new(&timed_graph());
+        // No task is stamped at iteration 0 — x_0 is staged data — so the
+        // first iteration's gates pass immediately.
+        assert!(f.closed(Timestamp::new(0, 0)));
+        assert!(f.closed(Timestamp::new(0, 1)));
+        assert!(!f.closed(Timestamp::new(1, 0)));
+    }
+
+    #[test]
+    fn completions_close_a_chain_in_iteration_order() {
+        let g = timed_graph();
+        let mut f = Frontier::new(&g);
+        let id = |name: &str| g.ids().find(|&t| g.task(t).name == name).expect("task");
+        f.complete(id("x_1_0_0"));
+        assert!(
+            !f.closed(Timestamp::new(1, 0)),
+            "one producer still pending"
+        );
+        f.complete(id("x_1_0_1"));
+        assert!(f.closed(Timestamp::new(1, 0)));
+        assert!(!f.closed(Timestamp::new(1, 1)), "chains are independent");
+        // Finishing iteration 3 early does not close iteration 2.
+        f.complete(id("x_3_0_0"));
+        f.complete(id("x_3_0_1"));
+        assert!(!f.closed(Timestamp::new(3, 0)));
+        f.complete(id("x_2_0_0"));
+        f.complete(id("x_2_0_1"));
+        assert!(f.closed(Timestamp::new(3, 0)));
+    }
+
+    #[test]
+    fn unstamped_completions_do_not_move_the_frontier() {
+        let ts = Timestamp::new(1, 0);
+        let g = TaskGraph::new(vec![
+            TaskSpec::new("p_1", "multiply").output("p_1", 8),
+            TaskSpec::new("x_1", "sum")
+                .input("p_1", 8)
+                .output("x_1", 8)
+                .at(ts),
+        ])
+        .expect("valid");
+        let mut f = Frontier::new(&g);
+        f.complete(TaskId(0));
+        assert!(!f.closed(ts), "only the stamped producer closes (1, 0)");
+        f.complete(TaskId(1));
+        assert!(f.closed(ts));
+    }
+
+    #[test]
+    fn closed_never_reopens() {
+        // Random completion orders of the timed graph: once a timestamp is
+        // closed it stays closed for the rest of the run.
+        let g = timed_graph();
+        let probes: Vec<Timestamp> = (0..=4)
+            .flat_map(|i| (0..3).map(move |b| Timestamp::new(i, b)))
+            .collect();
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..64 {
+            let mut order: Vec<TaskId> = g.ids().collect();
+            for i in (1..order.len()).rev() {
+                rng = rng
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                order.swap(i, (rng >> 33) as usize % (i + 1));
+            }
+            let mut f = Frontier::new(&g);
+            let mut was_closed: Vec<bool> = probes.iter().map(|&ts| f.closed(ts)).collect();
+            for id in order {
+                f.complete(id);
+                for (seen, &ts) in was_closed.iter_mut().zip(&probes) {
+                    let now = f.closed(ts);
+                    assert!(now || !*seen, "{ts} reopened");
+                    *seen = now;
+                }
+            }
+            assert!(was_closed.iter().all(|&c| c), "every timestamp closes");
+        }
     }
 }

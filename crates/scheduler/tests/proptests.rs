@@ -3,7 +3,7 @@
 
 use dooc_scheduler::{
     assign_affinity, assign_round_robin, LocalScheduler, NodeId, OrderPolicy, ReadyTracker,
-    TaskGraph, TaskId, TaskSpec,
+    TaskGraph, TaskId, TaskSpec, Timestamp,
 };
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
@@ -39,6 +39,51 @@ fn arb_layered_graph() -> impl Strategy<Value = TaskGraph> {
             prev_outputs = outs;
         }
         TaskGraph::new(tasks).expect("layered construction is acyclic")
+    })
+}
+
+/// Builds a random frontier-mode graph: `chains` block chains over
+/// `iters` iterations. Per iteration, each chain has 1–2 stamped producers
+/// `x_{i}_{b}_{h}` at `(i, b)`, each summing a few multiplies of the same
+/// iteration. Every multiply reads one previous-iteration block across a
+/// gate (no DAG edge); iteration 1's gates sit on the external `x_0_*`.
+fn arb_timed_graph() -> impl Strategy<Value = TaskGraph> {
+    (1u32..4, 1u32..4, any::<u64>()).prop_map(|(chains, iters, seed)| {
+        let mut rng = seed;
+        let mut next = move || {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            rng >> 33
+        };
+        let producers: Vec<u64> = (0..chains).map(|_| 1 + next() % 2).collect();
+        let mut tasks = Vec::new();
+        for i in 1..=iters {
+            for b in 0..chains {
+                for h in 0..producers[b as usize] {
+                    let mut sum = TaskSpec::new(format!("x_{i}_{b}_{h}"), "sum")
+                        .output(format!("x_{i}_{b}_{h}"), 8)
+                        .at(Timestamp::new(i, b));
+                    for m in 0..1 + next() % 3 {
+                        let src = (next() % chains as u64) as u32;
+                        let src_h = next() % producers[src as usize];
+                        let mul = format!("p_{i}_{b}_{h}_{m}");
+                        tasks.push(
+                            TaskSpec::new(&mul, "multiply")
+                                .input_gated(
+                                    format!("x_{}_{src}_{src_h}", i - 1),
+                                    8,
+                                    Timestamp::new(i - 1, src),
+                                )
+                                .output(&mul, 8),
+                        );
+                        sum = sum.input(mul, 8);
+                    }
+                    tasks.push(sum);
+                }
+            }
+        }
+        TaskGraph::new(tasks).expect("gates sit on their producers' stamps")
     })
 }
 
@@ -120,10 +165,12 @@ proptest! {
 
     /// A set of local schedulers covering a partition of the graph, fed the
     /// same completion stream, collectively executes every task exactly once
-    /// regardless of policy and partitioning.
+    /// regardless of policy and partitioning — untimed DAGs and
+    /// frontier-gated ones alike. A gated task is only ever handed out once
+    /// every task stamped at or below each of its gates has completed.
     #[test]
     fn partitioned_schedulers_cover_graph(
-        g in arb_layered_graph(),
+        g in prop_oneof![arb_layered_graph(), arb_timed_graph()],
         nnodes in 1u64..4,
         policy in prop_oneof![Just(OrderPolicy::Fifo), Just(OrderPolicy::DataAware)],
     ) {
@@ -133,17 +180,30 @@ proptest! {
             .collect();
         let oracle: HashSet<String> = HashSet::new();
         let mut executed: Vec<TaskId> = Vec::new();
+        let mut completed: HashSet<TaskId> = HashSet::new();
         loop {
             let mut progressed = false;
             let mut completed_now = Vec::new();
             for s in schedulers.iter_mut() {
                 while let Some(t) = s.next_task(&g, &oracle) {
+                    for gate in g.gates(t) {
+                        for h in g.ids() {
+                            let below = g.task(h).timestamp.is_some_and(|ts| ts.less_equal(&gate));
+                            prop_assert!(
+                                !below || completed.contains(&h),
+                                "{} handed out behind gate {gate} before {} completed",
+                                g.task(t).name,
+                                g.task(h).name
+                            );
+                        }
+                    }
                     completed_now.push(t);
                     progressed = true;
                 }
             }
             for t in completed_now {
                 executed.push(t);
+                completed.insert(t);
                 for s in schedulers.iter_mut() {
                     s.on_complete(&g, t);
                 }

@@ -150,21 +150,28 @@ fn assert_bitwise(schedule: &str, seed: u64, got: &[f64], want: &[f64]) {
     }
 }
 
+/// Iteration modes every schedule runs under. Frontier runs read their
+/// gates off the same `done` broadcast as barrier runs, so the fault-free
+/// *barrier* run over the same sockets stays the oracle for both.
+const MODES: [IterationMode; 2] = [IterationMode::Barrier, IterationMode::Frontier];
+
 #[test]
 fn peer_drop_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
     let baseline = run_spmv_tcp("sock-drop-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-drop", IterationMode::Barrier, || {
-            faultline::seed(seed);
-            faultline::configure(
-                "peer_out",
-                faultline::FaultSpec::drop_msg()
-                    .with_prob(0.10)
-                    .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
-            );
-        });
-        assert_bitwise("peer-drop", seed, &got, &baseline);
+    for mode in MODES {
+        for seed in seeds() {
+            let got = run_spmv_tcp("sock-drop", mode, || {
+                faultline::seed(seed);
+                faultline::configure(
+                    "peer_out",
+                    faultline::FaultSpec::drop_msg()
+                        .with_prob(0.10)
+                        .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
+                );
+            });
+            assert_bitwise(&format!("peer-drop/{mode:?}"), seed, &got, &baseline);
+        }
     }
 }
 
@@ -172,17 +179,19 @@ fn peer_drop_over_sockets_converges_bitwise() {
 fn peer_reorder_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
     let baseline = run_spmv_tcp("sock-reorder-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-reorder", IterationMode::Barrier, || {
-            faultline::seed(seed);
-            faultline::configure(
-                "peer_out",
-                faultline::FaultSpec::reorder()
-                    .with_prob(0.25)
-                    .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
-            );
-        });
-        assert_bitwise("peer-reorder", seed, &got, &baseline);
+    for mode in MODES {
+        for seed in seeds() {
+            let got = run_spmv_tcp("sock-reorder", mode, || {
+                faultline::seed(seed);
+                faultline::configure(
+                    "peer_out",
+                    faultline::FaultSpec::reorder()
+                        .with_prob(0.25)
+                        .with_exempt_tags(PEER_EXEMPT_TAGS.to_vec()),
+                );
+            });
+            assert_bitwise(&format!("peer-reorder/{mode:?}"), seed, &got, &baseline);
+        }
     }
 }
 
@@ -190,63 +199,18 @@ fn peer_reorder_over_sockets_converges_bitwise() {
 fn frame_delay_over_sockets_converges_bitwise() {
     let _g = faultline::test_gate();
     let baseline = run_spmv_tcp("sock-delay-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-delay", IterationMode::Barrier, || {
-            faultline::seed(seed);
-            // Socket-level: stall the framing writer on ~20% of data frames.
-            faultline::configure(
-                "fs.tcp.frame",
-                faultline::FaultSpec::delay(2).with_prob(0.20),
-            );
-        });
-        assert_bitwise("frame-delay", seed, &got, &baseline);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Progress-lane chaos over real sockets (frontier mode). The capability-drop
-// batches now cross loopback TCP as `Progress` frames; the oracle is the
-// fault-free *barrier* run over the same sockets, so each test chains the
-// frontier/barrier equivalence with the lane's fault tolerance: drops heal
-// through the cumulative counts' idle re-flush, reorder is absorbed by the
-// max-fold, and delay only defers gate openings.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn progress_drop_over_sockets_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-prog-drop-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-prog-drop", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::drop_msg().with_prob(0.10));
-        });
-        assert_bitwise("progress-drop", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_reorder_over_sockets_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-prog-reorder-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-prog-reorder", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::reorder().with_prob(0.25));
-        });
-        assert_bitwise("progress-reorder", seed, &got, &baseline);
-    }
-}
-
-#[test]
-fn progress_delay_over_sockets_converges_bitwise() {
-    let _g = faultline::test_gate();
-    let baseline = run_spmv_tcp("sock-prog-delay-base", IterationMode::Barrier, || {});
-    for seed in seeds() {
-        let got = run_spmv_tcp("sock-prog-delay", IterationMode::Frontier, || {
-            faultline::seed(seed);
-            faultline::configure("prog_out", faultline::FaultSpec::delay(2).with_prob(0.20));
-        });
-        assert_bitwise("progress-delay", seed, &got, &baseline);
+    for mode in MODES {
+        for seed in seeds() {
+            let got = run_spmv_tcp("sock-delay", mode, || {
+                faultline::seed(seed);
+                // Socket-level: stall the framing writer on ~20% of data
+                // frames.
+                faultline::configure(
+                    "fs.tcp.frame",
+                    faultline::FaultSpec::delay(2).with_prob(0.20),
+                );
+            });
+            assert_bitwise(&format!("frame-delay/{mode:?}"), seed, &got, &baseline);
+        }
     }
 }
