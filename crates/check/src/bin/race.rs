@@ -3,8 +3,8 @@
 //! Modes:
 //!
 //! * `--log <path>` — analyze a recorded `dooc-race v1` event log offline.
-//!   Exits 1 when a race is found (or the log is incomplete because the
-//!   recorder dropped events), 0 on a clean verdict.
+//!   Exits 1 when a race or a lock-order cycle is found (or the log is
+//!   incomplete because the recorder dropped events), 0 on a clean verdict.
 //! * `--syncgraph [root]` — print the static sync graph (lock classes,
 //!   order edges, channel topology) of the workspace and exit 1 if the
 //!   lock-order graph has a cycle. The root defaults to the nearest
@@ -13,8 +13,9 @@
 //!   recorded fault-free 2-node iterated SpMV on the real middleware
 //!   across several configurations plus one forced fork-join kernel run on
 //!   the compute pool (SpMV/AXPY/DOT through the work-stealing deques),
-//!   race-check each recorded schedule and exit 1 if any run reports a
-//!   race. `--out` saves the last run's event log as a CI artifact.
+//!   race-check each recorded schedule, print the lock-order edges each
+//!   observed, and exit 1 if any run reports a race or a lock-order cycle.
+//!   `--out` saves the last run's event log as a CI artifact.
 
 use std::path::PathBuf;
 use std::process::ExitCode;

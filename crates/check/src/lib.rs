@@ -30,13 +30,14 @@
 //!
 //! * [`race`] — a FastTrack-style vector-clock happens-before analyzer
 //!   over the `dooc-race v1` sync-event logs that `dooc-sync` records
-//!   under its `record` feature. Offline:
+//!   under its `record` feature; the same replay builds the observed
+//!   `OrderedMutex` class graph and reports lock-order cycles. Offline:
 //!   `cargo run -p dooc-check --bin race -- --log <path>`. The explorer
 //!   race-checks every schedule it runs when recording is compiled in.
 //! * [`syncgraph`] — a zero-dependency lexical scan of the workspace
 //!   sources extracting the static lock-acquisition-order graph
 //!   (`OrderedMutex` classes) and channel topology, with cycle detection;
-//!   mirror-tested against the dynamic `order-check` edge recorder.
+//!   mirror-tested against the lock-order edges of a recorded log.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

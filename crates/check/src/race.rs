@@ -45,12 +45,22 @@
 //!   `start` joins it. `join` joins the finished child's final clock into
 //!   the parent.
 //!
+//! The same replay also checks **lock order**. `OrderedMutex::lock` logs
+//! its class (`class` event) right after the inner mutex's `acq`; the
+//! analyzer keeps each thread's held classes, popped by the matching
+//! `rel`, and records an edge `held class → acquired class` with both
+//! acquisition sites the first time a pair is seen, on any thread. A cycle
+//! in that class graph is a potential deadlock even if this run never
+//! interleaved badly, and acquiring a class while a mutex of the same
+//! class is held is the one-edge cycle. Unnamed facade mutexes stay out of
+//! this pass: keyed by address, a reused address would invent cycles.
+//!
 //! All maps use the log's textual object ids; nothing here depends on the
 //! `record` feature — the module analyzes any well-formed log offline
 //! (`cargo run -p dooc-check --bin race -- --log <path>`).
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// A vector clock: thread id → logical time. Sparse (threads appear on
@@ -139,12 +149,60 @@ impl fmt::Display for Race {
     }
 }
 
+/// One observed lock-order edge: a thread acquired class `to` while
+/// holding class `from`. Sites are those of the first observation.
+#[derive(Clone, Debug)]
+pub struct LockEdge {
+    /// Class already held.
+    pub from: String,
+    /// Class acquired while `from` was held.
+    pub to: String,
+    /// The acquisition of `from`.
+    pub held: Access,
+    /// The acquisition of `to`.
+    pub acquired: Access,
+}
+
+impl fmt::Display for LockEdge {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "'{}' ({}) then '{}' ({})",
+            self.from, self.held, self.to, self.acquired
+        )
+    }
+}
+
+/// A cycle in the observed lock-order class graph, as its edges in order
+/// (each edge's `to` is the next edge's `from`). A one-edge cycle is
+/// same-class nesting.
+#[derive(Clone, Debug)]
+pub struct LockCycle(pub Vec<LockEdge>);
+
+impl fmt::Display for LockCycle {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.0.len() == 1 {
+            write!(f, "same-class lock nesting:")?;
+        } else {
+            write!(f, "lock-order cycle:")?;
+        }
+        for e in &self.0 {
+            write!(f, "\n    {e}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Analysis result over one log.
 #[derive(Clone, Debug, Default)]
 pub struct RaceReport {
     /// Detected races, in log order of the second access. Deduplicated per
     /// (address, site pair): a racy loop reports once, not per iteration.
     pub races: Vec<Race>,
+    /// Distinct lock-order edges observed, in log order of first sighting.
+    pub lock_edges: Vec<LockEdge>,
+    /// Cycles in the lock-order class graph, each reported once.
+    pub lock_cycles: Vec<LockCycle>,
     /// `E` lines analyzed.
     pub events: usize,
     /// Threads seen.
@@ -156,9 +214,10 @@ pub struct RaceReport {
 }
 
 impl RaceReport {
-    /// True when no race was found *and* the log was complete.
+    /// True when no race and no lock-order cycle was found *and* the log
+    /// was complete.
     pub fn clean(&self) -> bool {
-        self.races.is_empty() && self.dropped == 0
+        self.races.is_empty() && self.lock_cycles.is_empty() && self.dropped == 0
     }
 
     /// Multi-line human-readable rendering of the findings.
@@ -167,10 +226,13 @@ impl RaceReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "dooc-race: {} events, {} threads, {} race(s){}",
+            "dooc-race: {} events, {} threads, {} race(s), {} lock-order edge(s), \
+             {} lock-order cycle(s){}",
             self.events,
             self.threads,
             self.races.len(),
+            self.lock_edges.len(),
+            self.lock_cycles.len(),
             if self.dropped > 0 {
                 format!(" [INCOMPLETE: {} events dropped]", self.dropped)
             } else {
@@ -179,6 +241,12 @@ impl RaceReport {
         );
         for r in &self.races {
             let _ = writeln!(out, "  {r}");
+        }
+        for c in &self.lock_cycles {
+            let _ = writeln!(out, "  {c}");
+        }
+        for e in &self.lock_edges {
+            let _ = writeln!(out, "  lock-order edge {e}");
         }
         out
     }
@@ -242,7 +310,7 @@ struct Ev {
     site: String,
 }
 
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 enum EvOp {
     LockAcq,
     LockRel,
@@ -263,6 +331,7 @@ enum EvOp {
     Join(u64),
     DataRead,
     DataWrite,
+    Class(String),
 }
 
 fn parse(log: &str) -> Result<(Vec<Ev>, usize, u64), ParseError> {
@@ -350,6 +419,7 @@ fn parse(log: &str) -> Result<(Vec<Ev>, usize, u64), ParseError> {
             "join" => EvOp::Join(child()?),
             "dr" => EvOp::DataRead,
             "dw" => EvOp::DataWrite,
+            "class" => EvOp::Class(extra.to_string()),
             other => return Err(err(ln, format!("unknown op {other:?}"))),
         };
         events.push(Ev {
@@ -392,6 +462,10 @@ pub fn analyze(log: &str) -> Result<RaceReport, ParseError> {
     let mut races: Vec<Race> = Vec::new();
     // (addr, first site, second site) pairs already reported.
     let mut reported: HashMap<(usize, String, String), ()> = HashMap::new();
+    // Per-thread classed mutexes held: (object, class, acquisition).
+    let mut held: HashMap<u64, Vec<(usize, String, Access)>> = HashMap::new();
+    let mut lock_edges: Vec<LockEdge> = Vec::new();
+    let mut edge_seen: HashSet<(String, String)> = HashSet::new();
 
     for ev in &events {
         // Tick the acting thread's own component so every event gets a
@@ -403,7 +477,7 @@ pub fn analyze(log: &str) -> Result<RaceReport, ParseError> {
         // Borrow-friendly helpers: take the thread clock out, operate,
         // put it back.
         let mut tc = clocks.remove(&ev.tid).unwrap_or_default();
-        match ev.op {
+        match &ev.op {
             EvOp::LockAcq => {
                 if let Some(l) = locks.get(&ev.obj) {
                     tc.join(l);
@@ -411,6 +485,30 @@ pub fn analyze(log: &str) -> Result<RaceReport, ParseError> {
             }
             EvOp::LockRel => {
                 locks.entry(ev.obj).or_default().join(&tc);
+                if let Some(h) = held.get_mut(&ev.tid) {
+                    if let Some(i) = h.iter().rposition(|(obj, _, _)| *obj == ev.obj) {
+                        h.remove(i);
+                    }
+                }
+            }
+            EvOp::Class(class) => {
+                let acquired = Access {
+                    tid: ev.tid,
+                    seq: ev.seq,
+                    site: ev.site.clone(),
+                };
+                let h = held.entry(ev.tid).or_default();
+                for (_, from, at) in h.iter() {
+                    if edge_seen.insert((from.clone(), class.clone())) {
+                        lock_edges.push(LockEdge {
+                            from: from.clone(),
+                            to: class.clone(),
+                            held: at.clone(),
+                            acquired: acquired.clone(),
+                        });
+                    }
+                }
+                h.push((ev.obj, class.clone(), acquired));
             }
             EvOp::ReadAcq => {
                 if let Some(w) = rw_w.get(&ev.obj) {
@@ -470,7 +568,7 @@ pub fn analyze(log: &str) -> Result<RaceReport, ParseError> {
                 }
             }
             EvOp::Spawn(child) => {
-                spawn_snap.insert(child, tc.clone());
+                spawn_snap.insert(*child, tc.clone());
             }
             EvOp::ThreadStart => {
                 if let Some(s) = spawn_snap.get(&ev.tid) {
@@ -481,7 +579,7 @@ pub fn analyze(log: &str) -> Result<RaceReport, ParseError> {
             EvOp::Join(child) => {
                 // The child's final clock: its events all precede this one
                 // in sequence order (join is stamped after the OS join).
-                if let Some(cc) = clocks.get(&child) {
+                if let Some(cc) = clocks.get(child) {
                     tc.join(cc);
                 }
             }
@@ -538,10 +636,58 @@ pub fn analyze(log: &str) -> Result<RaceReport, ParseError> {
 
     Ok(RaceReport {
         races,
+        lock_cycles: lock_cycles(&lock_edges),
+        lock_edges,
         events: events.len(),
         threads,
         dropped,
     })
+}
+
+/// Every cycle of the class graph `edges`, found as the shortest cycle
+/// through each edge in turn and reported once per edge set.
+fn lock_cycles(edges: &[LockEdge]) -> Vec<LockCycle> {
+    let mut seen: HashSet<Vec<(&str, &str)>> = HashSet::new();
+    let mut cycles = Vec::new();
+    for (i, e) in edges.iter().enumerate() {
+        // Breadth-first from `e.to` back to `e.from`; `parent[c]` is the
+        // index of the edge that first reached class `c`.
+        let mut parent: HashMap<&str, usize> = HashMap::new();
+        let mut queue = VecDeque::from([e.to.as_str()]);
+        let mut reached = false;
+        while let Some(c) = queue.pop_front() {
+            if c == e.from {
+                reached = true;
+                break;
+            }
+            for (j, next) in edges.iter().enumerate() {
+                if next.from == c && next.to != e.to && !parent.contains_key(next.to.as_str()) {
+                    parent.insert(&next.to, j);
+                    queue.push_back(&next.to);
+                }
+            }
+        }
+        if !reached {
+            continue;
+        }
+        let mut path = vec![i];
+        let mut c = e.from.as_str();
+        while c != e.to {
+            let j = parent[c];
+            path.push(j);
+            c = &edges[j].from;
+        }
+        path[1..].reverse();
+        let mut key: Vec<(&str, &str)> = path
+            .iter()
+            .map(|&j| (edges[j].from.as_str(), edges[j].to.as_str()))
+            .collect();
+        key.sort_unstable();
+        if seen.insert(key) {
+            cycles.push(LockCycle(path.iter().map(|&j| edges[j].clone()).collect()));
+        }
+    }
+    cycles
 }
 
 #[cfg(test)]
@@ -742,6 +888,214 @@ mod tests {
         ]))
         .expect("parse");
         assert_eq!(r.races.len(), 1, "{:?}", r.races);
+    }
+
+    /// Builds a log of classed-mutex acquires (an `acq` then its `class`
+    /// event, as `OrderedMutex::lock` records them) and releases.
+    #[derive(Default)]
+    struct Script {
+        lines: Vec<String>,
+    }
+
+    impl Script {
+        fn lock(&mut self, tid: u64, obj: usize, class: &str, site: &str) -> &mut Self {
+            let seq = self.lines.len();
+            self.lines.push(format!("E {seq} {tid} acq {obj} - {site}"));
+            self.lines
+                .push(format!("E {} {tid} class {obj} {class} {site}", seq + 1));
+            self
+        }
+
+        fn lock_unnamed(&mut self, tid: u64, obj: usize, site: &str) -> &mut Self {
+            let seq = self.lines.len();
+            self.lines.push(format!("E {seq} {tid} acq {obj} - {site}"));
+            self
+        }
+
+        fn unlock(&mut self, tid: u64, obj: usize, site: &str) -> &mut Self {
+            let seq = self.lines.len();
+            self.lines.push(format!("E {seq} {tid} rel {obj} - {site}"));
+            self
+        }
+
+        fn analyze(&self) -> RaceReport {
+            let lines: Vec<&str> = self.lines.iter().map(String::as_str).collect();
+            analyze(&log(&lines)).expect("parse")
+        }
+    }
+
+    /// Asserts `r` holds exactly one lock-order cycle over `classes` and
+    /// that its rendering cites both acquisition sites of every edge.
+    fn assert_one_cycle(r: &RaceReport, classes: &[&str]) {
+        assert!(!r.clean(), "{}", r.render());
+        assert_eq!(r.lock_cycles.len(), 1, "{}", r.render());
+        let cycle = &r.lock_cycles[0].0;
+        let mut got: Vec<&str> = cycle.iter().map(|e| e.from.as_str()).collect();
+        got.sort_unstable();
+        assert_eq!(got, classes, "{}", r.render());
+        let rendered = r.render();
+        for e in cycle {
+            let line = format!(
+                "'{}' (thread {} at {} (seq {})) then '{}' (thread {} at {} (seq {}))",
+                e.from,
+                e.held.tid,
+                e.held.site,
+                e.held.seq,
+                e.to,
+                e.acquired.tid,
+                e.acquired.site,
+                e.acquired.seq
+            );
+            assert!(rendered.contains(&line), "missing {line}:\n{rendered}");
+        }
+    }
+
+    #[test]
+    fn late_lock_order_cycle_after_unrelated_acquisitions() {
+        let mut s = Script::default();
+        s.lock(0, 1, "late.a", "a.rs:1:1")
+            .lock(0, 2, "late.b", "a.rs:2:1")
+            .unlock(0, 2, "a.rs:2:1")
+            .unlock(0, 1, "a.rs:1:1");
+        // Each lock alone, many times: no edges, and the a -> b edge must
+        // survive them.
+        for _ in 0..16 {
+            s.lock(0, 1, "late.a", "a.rs:5:1")
+                .unlock(0, 1, "a.rs:5:1")
+                .lock(0, 2, "late.b", "a.rs:6:1")
+                .unlock(0, 2, "a.rs:6:1");
+        }
+        s.lock(0, 2, "late.b", "a.rs:9:1")
+            .lock(0, 1, "late.a", "a.rs:10:1");
+        let r = s.analyze();
+        assert_eq!(r.lock_edges.len(), 2, "{}", r.render());
+        assert_one_cycle(&r, &["late.a", "late.b"]);
+        assert!(r.races.is_empty(), "{:?}", r.races);
+    }
+
+    #[test]
+    fn transitive_three_class_cycle_names_every_edge() {
+        let r = Script::default()
+            .lock(0, 1, "chain.a", "a.rs:1:1")
+            .lock(0, 2, "chain.b", "a.rs:2:1")
+            .unlock(0, 2, "a.rs:2:1")
+            .unlock(0, 1, "a.rs:1:1")
+            .lock(0, 2, "chain.b", "b.rs:1:1")
+            .lock(0, 3, "chain.c", "b.rs:2:1")
+            .unlock(0, 3, "b.rs:2:1")
+            .unlock(0, 2, "b.rs:1:1")
+            .lock(0, 3, "chain.c", "c.rs:1:1")
+            .lock(0, 1, "chain.a", "c.rs:2:1")
+            .analyze();
+        assert_one_cycle(&r, &["chain.a", "chain.b", "chain.c"]);
+        let rendered = r.render();
+        assert!(
+            rendered.contains("'chain.a' (thread 0 at a.rs:1:1")
+                && rendered.contains("then 'chain.b' (thread 0 at a.rs:2:1"),
+            "a -> b edge with both sites: {rendered}"
+        );
+        assert!(
+            rendered.contains("'chain.b' (thread 0 at b.rs:1:1")
+                && rendered.contains("then 'chain.c' (thread 0 at b.rs:2:1"),
+            "b -> c edge with both sites: {rendered}"
+        );
+    }
+
+    #[test]
+    fn lock_order_cycle_closed_from_another_thread() {
+        // Thread 1 establishes a -> b and exits; thread 2 starts with an
+        // empty held set but must still close the cycle against it.
+        let r = Script::default()
+            .lock(1, 1, "xthread.a", "a.rs:1:1")
+            .lock(1, 2, "xthread.b", "a.rs:2:1")
+            .unlock(1, 2, "a.rs:2:1")
+            .unlock(1, 1, "a.rs:1:1")
+            .lock(2, 2, "xthread.b", "b.rs:1:1")
+            .lock(2, 1, "xthread.a", "b.rs:2:1")
+            .analyze();
+        assert_one_cycle(&r, &["xthread.a", "xthread.b"]);
+        let tids: Vec<u64> = r.lock_cycles[0].0.iter().map(|e| e.held.tid).collect();
+        assert!(tids.contains(&1) && tids.contains(&2), "{}", r.render());
+    }
+
+    #[test]
+    fn production_class_inversion_cites_both_sites() {
+        let r = Script::default()
+            .lock(
+                1,
+                1,
+                "storage.cluster.port_map",
+                "crates/storage/src/cluster.rs:90:9",
+            )
+            .lock(1, 2, "core.sinks.trace", "crates/core/src/worker.rs:700:13")
+            .unlock(1, 2, "crates/core/src/worker.rs:700:13")
+            .unlock(1, 1, "crates/storage/src/cluster.rs:90:9")
+            .lock(
+                2,
+                2,
+                "core.sinks.trace",
+                "crates/core/src/runtime.rs:214:28",
+            )
+            .lock(
+                2,
+                1,
+                "storage.cluster.port_map",
+                "crates/storage/src/cluster.rs:120:9",
+            )
+            .analyze();
+        assert_one_cycle(&r, &["core.sinks.trace", "storage.cluster.port_map"]);
+        let rendered = r.render();
+        for site in [
+            "cluster.rs:90:9",
+            "worker.rs:700:13",
+            "runtime.rs:214:28",
+            "cluster.rs:120:9",
+        ] {
+            assert!(rendered.contains(site), "missing {site}: {rendered}");
+        }
+    }
+
+    #[test]
+    fn same_class_nesting_is_a_one_edge_cycle() {
+        let r = Script::default()
+            .lock(0, 1, "nest.a", "a.rs:1:1")
+            .lock(0, 2, "nest.a", "a.rs:2:1")
+            .analyze();
+        assert_one_cycle(&r, &["nest.a"]);
+        assert!(
+            r.render().contains("same-class lock nesting"),
+            "{}",
+            r.render()
+        );
+    }
+
+    #[test]
+    fn consistent_nesting_repeated_is_clean() {
+        let mut s = Script::default();
+        for tid in 0..3 {
+            for _ in 0..3 {
+                // An unnamed facade mutex held around the classed ones adds
+                // no edge: only classed acquires enter the pass.
+                s.lock_unnamed(tid, 99, "u.rs:1:1")
+                    .lock(tid, 1, "ok.outer", "a.rs:1:1")
+                    .lock(tid, 2, "ok.inner", "a.rs:2:1")
+                    .unlock(tid, 2, "a.rs:2:1")
+                    .unlock(tid, 1, "a.rs:1:1")
+                    .unlock(tid, 99, "u.rs:1:1")
+                    // Released before the next lock: no edge either way.
+                    .lock(tid, 2, "ok.inner", "a.rs:4:1")
+                    .unlock(tid, 2, "a.rs:4:1")
+                    .lock(tid, 1, "ok.outer", "a.rs:5:1")
+                    .unlock(tid, 1, "a.rs:5:1");
+            }
+        }
+        let r = s.analyze();
+        assert!(r.clean(), "{}", r.render());
+        assert_eq!(r.lock_edges.len(), 1, "{}", r.render());
+        assert_eq!(
+            (r.lock_edges[0].from.as_str(), r.lock_edges[0].to.as_str()),
+            ("ok.outer", "ok.inner")
+        );
     }
 
     #[test]

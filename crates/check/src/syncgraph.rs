@@ -11,17 +11,17 @@
 //!   to, giving an identifier → class map.
 //! * **Static order edges** — within one `fn` body, every ordered pair of
 //!   `.lock()` calls on classed identifiers yields an edge
-//!   `earlier class → later class`. This *over-approximates* the dynamic
-//!   lock-order graph (the `order-check` feature of `dooc-sync`): the
-//!   dynamic detector only records an edge when the first guard is still
-//!   held, while the static scan cannot see drops and assumes it is. The
-//!   over-approximation direction is the useful one — every dynamically
-//!   observable function-local edge is guaranteed to be in the static set
-//!   (the mirror test in `tests/syncgraph_mirror.rs` pins this), and a
-//!   cycle-free static graph therefore proves the stronger property.
-//!   Cross-function nesting (guard held across a call into another
-//!   function that locks) is out of scope for the lexical pass and remains
-//!   the dynamic detector's job.
+//!   `earlier class → later class`. This *over-approximates* the lock
+//!   order the dooc-race replay derives from a `record` log: the replay
+//!   only draws an edge when the first guard is still held, while the
+//!   static scan cannot see drops and assumes it is. The
+//!   over-approximation direction is the useful one — every recordable
+//!   function-local edge is guaranteed to be in the static set (the mirror
+//!   test in `tests/syncgraph_mirror.rs` pins this), and a cycle-free
+//!   static graph therefore proves the stronger property. Cross-function
+//!   nesting (guard held across a call into another function that locks)
+//!   is out of scope for the lexical pass; the recorded replay
+//!   (`race --spmv`) sees it on the runs it records.
 //! * **Channel topology** — every bounded/unbounded channel construction
 //!   site, with the capacity expression for bounded ones. Rule 3 of the
 //!   lint keeps runtime crates bounded; this scan makes the topology

@@ -9,7 +9,10 @@
 //!   spawned through the facade annotate conflicting accesses to one
 //!   shared address. The racy twins (feature `seeded-race`, never on
 //!   outside these tests) skip the lock / use `Relaxed` atomics; the clean
-//!   twins hold a facade `Mutex` or use release/acquire edges.
+//!   twins hold a facade `Mutex` or use release/acquire edges. The
+//!   lock-order twin takes two `OrderedMutex` classes in a consistent
+//!   order on both threads; its seeded twin inverts the order on the
+//!   second thread, which the replay must report as a cycle.
 //! * **Explored model runtime** (feature `model`): the same twins run
 //!   under dooc-shuttle, which race-checks every explored schedule. The
 //!   racy twin must fail with [`FailureKind::Race`] and a replayable
@@ -26,7 +29,7 @@
 #![cfg(any(feature = "record", feature = "model"))]
 
 use dooc_sync::record;
-use dooc_sync::{thread, Mutex};
+use dooc_sync::{thread, Mutex, OrderedMutex};
 use std::sync::Arc;
 
 /// Stable per-allocation address for annotation purposes.
@@ -110,9 +113,55 @@ fn published_handoff(release: bool) {
     writer.join().expect("writer");
 }
 
+/// Two sequential threads each nest two classed mutexes; the second
+/// thread takes them in the opposite order when `invert`. The threads never
+/// overlap, so the run cannot deadlock: only the recorded order shows it.
+fn nested_classes(invert: bool) {
+    let a = Arc::new(OrderedMutex::new("twin.order.a", ()));
+    let b = Arc::new(OrderedMutex::new("twin.order.b", ()));
+    for second in [false, true] {
+        let (a, b) = (Arc::clone(&a), Arc::clone(&b));
+        thread::spawn(move || {
+            if second && invert {
+                let _gb = b.lock();
+                let _ga = a.lock();
+            } else {
+                let _ga = a.lock();
+                let _gb = b.lock();
+            }
+        })
+        .join()
+        .expect("nesting thread");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Recorded real-runtime twins.
 // ---------------------------------------------------------------------------
+
+#[test]
+fn recorded_consistent_lock_order_is_clean() {
+    let report = recorded(|| nested_classes(false));
+    assert!(report.clean(), "{}", report.render());
+    assert_eq!(report.lock_edges.len(), 1, "{}", report.render());
+}
+
+#[cfg(feature = "seeded-race")]
+#[test]
+fn recorded_inverted_lock_order_is_caught() {
+    let report = recorded(|| nested_classes(true));
+    assert!(!report.clean(), "{}", report.render());
+    assert_eq!(report.lock_cycles.len(), 1, "{}", report.render());
+    let cycle = &report.lock_cycles[0].0;
+    assert_eq!(cycle.len(), 2, "{}", report.render());
+    // Every acquisition site of the cycle points into this file.
+    for e in cycle {
+        assert!(
+            e.held.site.contains("race_twins.rs") && e.acquired.site.contains("race_twins.rs"),
+            "{e}"
+        );
+    }
+}
 
 #[test]
 fn recorded_locked_siblings_are_clean() {

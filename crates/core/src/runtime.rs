@@ -106,16 +106,13 @@ impl DoocRuntime {
         // Static pre-run audit: progress stalls, per-task residency vs the
         // storage budget, and lane-capacity deadlock freedom — all decidable
         // from the graph alone, so reject bad jobs before assembling the
-        // cluster. `DOOC_AUDIT=off` (or `0`) opts out, for benches that
-        // measure the data plane in isolation.
-        if audit_enabled() {
-            dooc_scheduler::audit(
-                &graph,
-                self.config.memory_budget,
-                &runtime_lane_specs(&graph, nnodes as u64),
-            )
-            .map_err(DoocError::Audit)?;
-        }
+        // cluster.
+        dooc_scheduler::audit(
+            &graph,
+            self.config.memory_budget,
+            &runtime_lane_specs(&graph, nnodes as u64),
+        )
+        .map_err(DoocError::Audit)?;
         // Global scheduling: affinity placement.
         let placement = Arc::new(assign_affinity(&graph, &external_location, nnodes as u64)?);
 
@@ -197,9 +194,9 @@ impl DoocRuntime {
         };
         let elapsed = start.elapsed();
 
-        // Shutdown leak audit: every buffer enqueued into a port must have
-        // been dequeued before the filters exited.
-        #[cfg(feature = "order-check")]
+        // Shutdown leak audit (debug builds): every buffer enqueued into a
+        // port must have been dequeued before the filters exited.
+        #[cfg(debug_assertions)]
         {
             let leaks: Vec<String> = streams
                 .undrained_ports()
@@ -241,15 +238,6 @@ impl DoocRuntime {
             trace,
         })
     }
-}
-
-/// Is the pre-run static audit enabled? Defaults to on; `DOOC_AUDIT=off`
-/// (or `0`) bypasses it, for benches that isolate the data plane.
-fn audit_enabled() -> bool {
-    !matches!(
-        std::env::var("DOOC_AUDIT").as_deref(),
-        Ok("off") | Ok("0") | Ok("false")
-    )
 }
 
 /// The bounded lanes `run_inner` is about to wire, declared for the

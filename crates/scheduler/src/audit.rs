@@ -48,8 +48,8 @@
 //!   messages than `capacity` are outstanding — so `bound ≤ capacity` on
 //!   every cyclic lane proves full-cycle waits impossible.
 //!
-//! [`audit`] runs all three and is what `DoocRuntime::run` calls by default
-//! before assembling the cluster (`DOOC_AUDIT=off` opts out).
+//! [`audit`] runs all three and is what `DoocRuntime::run` calls before
+//! assembling the cluster, on every run.
 
 use crate::progress::{Frontier, Timestamp};
 use crate::task::{TaskGraph, TaskId};

@@ -27,9 +27,9 @@
 //!   features are on: the modeled wrappers carry the same recording hooks,
 //!   so every explored schedule can be race-checked.
 //!
-//! [`OrderedMutex`] (lock-class deadlock detection under `order-check`)
-//! lives here too, moved from `dooc-filterstream::sync`, which now
-//! re-exports it.
+//! [`OrderedMutex`] names a mutex with a lock class. The static sync-graph
+//! scan keys on the class, and under `record` every acquire logs it, so the
+//! dooc-race replay also checks the observed lock order for cycles.
 
 #![forbid(unsafe_code)]
 
@@ -37,9 +37,6 @@ mod ordered;
 pub mod record;
 
 pub use ordered::{OrderedMutex, OrderedMutexGuard};
-
-#[cfg(feature = "order-check")]
-pub use ordered::order_graph_edges;
 
 #[cfg(all(not(feature = "model"), not(feature = "record")))]
 mod real;

@@ -1,176 +1,33 @@
-//! Feature-gated lock-order deadlock detection.
+//! Named mutexes for lock-order analysis.
 //!
 //! [`OrderedMutex`] wraps the facade [`Mutex`](crate::Mutex) with a *lock
 //! class*: a `&'static str` naming the role of the lock (e.g.
-//! `"storage.cluster.port_map"`). With the `order-check` feature enabled,
-//! every acquisition records, for each lock class already held by the
-//! acquiring thread, a directed edge `held class -> acquired class` into a
-//! process-global lock-order graph, together with both acquisition sites.
-//! An acquisition that would close a cycle in that graph — some other code
-//! path acquires the same classes in the opposite order — panics
-//! immediately, naming every edge along the conflicting path. This turns
-//! *potential* deadlocks (inconsistent lock ordering that may never actually
-//! interleave in a given run) into deterministic test failures, without
-//! needing the unlucky schedule.
+//! `"storage.cluster.port_map"`). Classes are dotted identifiers without
+//! whitespace: they are written verbatim into a column of the recorded
+//! event log.
 //!
-//! Edges are recorded and checked on **every** acquisition, not just the
-//! first time a class pair is seen: the recorded sites are refreshed each
-//! time, so a violation report always names a currently-live code path
-//! rather than the (possibly long-deleted) first acquisition that
-//! established the edge, and a cycle introduced any number of acquisitions
-//! after an edge was first recorded is still caught.
+//! Two analyses key on the class, never on the instance, so replicas of
+//! one structure obey one ordering discipline and classes must name roles,
+//! not objects:
 //!
-//! Detection is by class, not by instance: two distinct mutexes sharing a
-//! class are treated as the same lock. That is deliberate — replicas of the
-//! same structure must obey one ordering discipline — but it means classes
-//! must name roles, not objects.
+//! * the static `syncgraph` scan in dooc-check reads each
+//!   `OrderedMutex::new("<class>"` declaration and the `.lock()` nestings
+//!   in the source;
+//! * while [`record`](crate::record) is armed, every [`OrderedMutex::lock`]
+//!   logs its class next to the inner mutex's acquire, and the dooc-race
+//!   replay builds the held → acquired class graph from the log, reporting
+//!   cycles and same-class nesting with their acquisition sites.
 //!
-//! With the feature disabled (the default) the wrapper compiles down to a
-//! plain facade mutex plus a `&'static str` it never consults.
+//! Otherwise the wrapper is a plain facade mutex plus a `&'static str` it
+//! never consults. The guard is its own type so a classed lock cannot be
+//! handed to a condvar wait, which would release and retake it behind the
+//! log's back.
 
+use crate::record::{self, RecOp};
 use crate::{Mutex, MutexGuard};
 use std::ops::{Deref, DerefMut};
 
-#[cfg(feature = "order-check")]
-mod detect {
-    use std::cell::RefCell;
-    use std::collections::{HashMap, HashSet};
-    use std::fmt::Write as _;
-    use std::panic::Location;
-    use std::sync::OnceLock;
-
-    type Site = &'static Location<'static>;
-
-    /// The process-global lock-order graph: edge `(a, b)` means "some thread
-    /// acquired class `b` while holding class `a`", annotated with the most
-    /// recent pair of acquisition sites that exercised it.
-    #[derive(Default)]
-    pub(super) struct Graph {
-        edges: HashMap<(&'static str, &'static str), (Site, Site)>,
-    }
-
-    impl Graph {
-        /// Finds a path `from -> ... -> to` over recorded edges, returned as
-        /// the list of `(class, class, site, site)` edges along it.
-        fn find_path(
-            &self,
-            from: &'static str,
-            to: &'static str,
-        ) -> Option<Vec<(&'static str, &'static str, Site, Site)>> {
-            // BFS with parent tracking so the report shows a shortest chain.
-            let mut queue = std::collections::VecDeque::from([from]);
-            let mut parent: HashMap<&'static str, (&'static str, Site, Site)> = HashMap::new();
-            let mut seen: HashSet<&'static str> = HashSet::from([from]);
-            while let Some(c) = queue.pop_front() {
-                if c == to {
-                    let mut path = Vec::new();
-                    let mut cur = to;
-                    while cur != from {
-                        let &(prev, s1, s2) = &parent[cur];
-                        path.push((prev, cur, s1, s2));
-                        cur = prev;
-                    }
-                    path.reverse();
-                    return Some(path);
-                }
-                for (&(a, b), &(s1, s2)) in self.edges.iter() {
-                    if a == c && seen.insert(b) {
-                        parent.insert(b, (a, s1, s2));
-                        queue.push_back(b);
-                    }
-                }
-            }
-            None
-        }
-    }
-
-    fn graph() -> &'static parking_lot::Mutex<Graph> {
-        static GRAPH: OnceLock<parking_lot::Mutex<Graph>> = OnceLock::new();
-        GRAPH.get_or_init(Default::default)
-    }
-
-    thread_local! {
-        /// Lock classes currently held by this thread, with their
-        /// acquisition sites, in acquisition order.
-        static HELD: RefCell<Vec<(&'static str, Site)>> = const { RefCell::new(Vec::new()) };
-    }
-
-    /// Records `held -> class` edges and panics if the acquisition would
-    /// close an ordering cycle. Called before blocking on the inner mutex so
-    /// the violation is reported rather than deadlocking the test. Runs on
-    /// every acquisition: the cycle check always executes, and the recorded
-    /// sites are refreshed so reports name live code paths.
-    pub(super) fn before_acquire(class: &'static str, site: Site) {
-        HELD.with(|h| {
-            let held = h.borrow();
-            if held.is_empty() {
-                return;
-            }
-            let mut g = graph().lock();
-            for &(held_class, held_site) in held.iter() {
-                if held_class == class {
-                    panic!(
-                        "lock-order violation: recursive acquisition of lock class \
-                         '{class}' at {site} (already held since {held_site})"
-                    );
-                }
-                if let Some(path) = g.find_path(class, held_class) {
-                    let mut chain = String::new();
-                    for (a, b, s1, s2) in &path {
-                        let _ = write!(chain, "\n  '{a}' (at {s1}) then '{b}' (at {s2})");
-                    }
-                    panic!(
-                        "lock-order violation: acquiring '{class}' at {site} while \
-                         holding '{held_class}' (acquired at {held_site}), but the \
-                         opposite order is already established:{chain}"
-                    );
-                }
-                g.edges.insert((held_class, class), (held_site, site));
-            }
-        });
-    }
-
-    pub(super) fn push_held(class: &'static str, site: Site) {
-        HELD.with(|h| h.borrow_mut().push((class, site)));
-    }
-
-    pub(super) fn pop_held(class: &'static str) {
-        HELD.with(|h| {
-            let mut held = h.borrow_mut();
-            if let Some(i) = held.iter().rposition(|&(c, _)| c == class) {
-                held.remove(i);
-            }
-        });
-    }
-
-    /// Snapshot of the recorded lock-order graph: every `(held, acquired)`
-    /// class pair observed so far, with the most recent acquisition sites
-    /// (rendered). Exposed so the dooc-check static sync-graph analysis
-    /// can mirror-test its source-derived edges against the dynamic ones.
-    pub fn edges() -> Vec<super::OrderEdge> {
-        graph()
-            .lock()
-            .edges
-            .iter()
-            .map(|(&(a, b), &(s1, s2))| ((a, b), (s1.to_string(), s2.to_string())))
-            .collect()
-    }
-}
-
-/// One dynamic lock-order edge:
-/// `((held class, acquired class), (held site, acquired site))`.
-#[cfg(feature = "order-check")]
-pub type OrderEdge = ((&'static str, &'static str), (String, String));
-
-/// Dynamic lock-order edges observed so far in this process:
-/// `((held class, acquired class), (held site, acquired site))` pairs.
-#[cfg(feature = "order-check")]
-pub fn order_graph_edges() -> Vec<OrderEdge> {
-    detect::edges()
-}
-
-/// A mutex carrying a lock-order class, checked when the `order-check`
-/// feature is enabled (see the module docs). Transparent otherwise.
+/// A mutex carrying a lock-order class (see the module docs).
 pub struct OrderedMutex<T> {
     class: &'static str,
     inner: Mutex<T>,
@@ -190,30 +47,14 @@ impl<T> OrderedMutex<T> {
         self.class
     }
 
-    /// Acquires the lock; with `order-check`, first verifies that doing so
-    /// respects the global lock order, panicking (with the acquisition sites
-    /// along the conflicting path) if it does not.
-    #[cfg(feature = "order-check")]
-    #[track_caller]
-    pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        let site = std::panic::Location::caller();
-        detect::before_acquire(self.class, site);
-        let inner = self.inner.lock();
-        detect::push_held(self.class, site);
-        OrderedMutexGuard {
-            inner,
-            class: self.class,
-        }
-    }
-
-    /// Acquires the lock (order checking compiled out).
-    #[cfg(not(feature = "order-check"))]
+    /// Acquires the lock; while recording is armed, logs the class against
+    /// the inner mutex so the race replay can order it.
     #[inline]
     #[track_caller]
     pub fn lock(&self) -> OrderedMutexGuard<'_, T> {
-        OrderedMutexGuard {
-            inner: self.inner.lock(),
-        }
+        let inner = self.inner.lock();
+        record::ev(RecOp::Class(self.class), record::addr_of(&self.inner));
+        OrderedMutexGuard { inner }
     }
 
     /// Mutable access without locking (requires exclusive ownership).
@@ -238,8 +79,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OrderedMutex<T> {
 /// Guard returned by [`OrderedMutex::lock`].
 pub struct OrderedMutexGuard<'a, T> {
     inner: MutexGuard<'a, T>,
-    #[cfg(feature = "order-check")]
-    class: &'static str,
 }
 
 impl<T> Deref for OrderedMutexGuard<'_, T> {
@@ -255,13 +94,6 @@ impl<T> DerefMut for OrderedMutexGuard<'_, T> {
     }
 }
 
-#[cfg(feature = "order-check")]
-impl<T> Drop for OrderedMutexGuard<'_, T> {
-    fn drop(&mut self) {
-        detect::pop_held(self.class);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,16 +105,5 @@ mod tests {
         assert_eq!(*m.lock(), 42);
         assert_eq!(m.class(), "test.sync.value");
         assert_eq!(m.into_inner(), 42);
-    }
-
-    #[cfg(feature = "order-check")]
-    #[test]
-    fn consistent_nesting_is_allowed_repeatedly() {
-        let a = OrderedMutex::new("test.sync.outer", ());
-        let b = OrderedMutex::new("test.sync.inner", ());
-        for _ in 0..3 {
-            let _ga = a.lock();
-            let _gb = b.lock();
-        }
     }
 }

@@ -3,9 +3,11 @@
 //! With the `record` feature enabled, every facade primitive logs its
 //! visible operations — lock acquire/release, rwlock read/write, condvar
 //! notify/wait, channel send/recv, atomic load/store/rmw (with ordering),
-//! thread spawn/start/end/join — into per-thread bounded rings (the
-//! generic [`dooc_obs::ring::Rings`] core behind the trace buffer), each
-//! event stamped with a global sequence number and its source site.
+//! thread spawn/start/end/join, and the lock class of every
+//! [`OrderedMutex`](crate::OrderedMutex) acquire — into per-thread bounded
+//! rings (the generic [`dooc_obs::ring::Rings`] core behind the trace
+//! buffer), each event stamped with a global sequence number and its
+//! source site.
 //! [`take_log`] drains the rings into the `dooc-race v1` text format the
 //! happens-before analyzer in `crates/check` replays.
 //!
@@ -119,6 +121,10 @@ pub enum RecOp {
     DataRead,
     /// Annotated shared-memory write (see [`data_write`]).
     DataWrite,
+    /// Lock class of the mutex just acquired, logged by
+    /// [`OrderedMutex::lock`](crate::OrderedMutex::lock) right after the
+    /// inner mutex's [`RecOp::LockAcq`] on the same object.
+    Class(&'static str),
 }
 
 impl RecOp {
@@ -144,6 +150,7 @@ impl RecOp {
             RecOp::Join(child) => ("join", Some(child.to_string())),
             RecOp::DataRead => ("dr", None),
             RecOp::DataWrite => ("dw", None),
+            RecOp::Class(class) => ("class", Some(class.to_string())),
         }
     }
 }
@@ -319,7 +326,8 @@ mod imp {
     /// ```
     ///
     /// `E` lines are sorted by sequence number; `<extra>` is the atomic
-    /// ordering token or the spawned/joined child tid, `-` otherwise.
+    /// ordering token, the spawned/joined child tid or the lock class, `-`
+    /// otherwise.
     pub fn take_log() -> String {
         let (per_thread, dropped) = rings().drain();
         let mut threads: Vec<(u64, String)> = Vec::new();
