@@ -21,11 +21,11 @@
 //!   relative to that hook-free baseline.
 
 use bytes::Bytes;
-use dooc_core::{runtime_lane_specs, DoocConfig, DoocRuntime, WorkerContext};
+use dooc_bench::live::{run_spmv, SpmvRun};
+use dooc_core::{runtime_lane_specs, WorkerContext};
 use dooc_filterstream::{FilterContext, Layout, NodeId, Runtime};
 use dooc_linalg::spmv_app::{
-    tiled_owner, IterationMode, ReductionPlan, SpmvAppBuilder, SpmvExecutor, StagedBlock,
-    SyncPolicy,
+    tiled_owner, IterationMode, ReductionPlan, SpmvAppBuilder, StagedBlock, SyncPolicy,
 };
 use dooc_scheduler::audit;
 use dooc_sparse::blockgrid::BlockGrid;
@@ -383,50 +383,21 @@ fn read_latency(nblocks: u64, block_bytes: u64, reps: u32) -> ReadLatency {
 /// only — frontier mode ignores it and gates releases on the capability
 /// frontier instead.
 fn run_spmv_mode(nodes: usize, k: u64, n: u64, iterations: u64, mode: IterationMode) -> f64 {
-    let tag = format!(
-        "bench-dp-{nodes}n-{}",
-        if mode == IterationMode::Frontier {
-            "frontier"
-        } else {
-            "barrier"
-        }
-    );
-    let cfg = DoocConfig::in_temp_dirs(&tag, nodes)
-        .expect("cfg")
-        .memory_budget(256 << 20)
-        .threads_per_node(2)
-        .prefetch_window(2);
-    let grid = BlockGrid::new(k, n);
-    let gen = GapGenerator::with_d(3);
-    let blocks = SpmvAppBuilder::stage(
-        &cfg.scratch_dirs,
-        grid,
-        &gen,
-        42,
-        tiled_owner(k, nodes as u64),
-    )
-    .expect("stage");
-    let app = SpmvAppBuilder::new(grid, iterations, blocks)
-        .reduction(ReductionPlan::LocalAggregation)
-        .sync(SyncPolicy::IterationBarrier)
-        .iteration_mode(mode);
-    let x0: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.17).sin() + 1.0).collect();
-    app.stage_initial_vector(&cfg.scratch_dirs, &x0)
-        .expect("stage x0");
-    let (graph, external, geometry) = app.build();
-    let mut cfg2 = cfg.clone();
-    for (name, len, bs) in geometry {
-        cfg2 = cfg2.with_geometry(name, len, bs);
-    }
-    let t0 = Instant::now();
-    DoocRuntime::new(cfg2.clone())
-        .run(graph, external, Arc::new(SpmvExecutor))
-        .expect("run");
-    let wall = t0.elapsed().as_secs_f64();
-    for d in &cfg2.scratch_dirs {
-        std::fs::remove_dir_all(d).ok();
-    }
-    wall
+    let kind = if mode == IterationMode::Frontier {
+        "frontier"
+    } else {
+        "barrier"
+    };
+    let run = SpmvRun {
+        tag: format!("bench-dp-{nodes}n-{kind}"),
+        nnodes: nodes,
+        k,
+        n,
+        iterations,
+        mode,
+        memory_budget: 256 << 20,
+    };
+    run_spmv(&run, tiled_owner(k, nodes as u64)).expect("iterated SpMV run")
 }
 
 /// Times one closure as min-of-`ROUNDS` of the mean over `reps` calls:

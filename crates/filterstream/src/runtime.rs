@@ -1,34 +1,36 @@
 //! The execution engine: threads, wiring, and run reports.
 //!
-//! [`Runtime::run`] validates a [`Layout`], builds one inbox per
-//! *(consumer filter, input port)* — merging fanned-in streams — spawns one
-//! OS thread per filter instance, waits for every filter to finish, and
+//! A node *mounts* its share of a [`Layout`]: one inbox per *(consumer
+//! filter, input port)* — merging fanned-in streams — whose lanes are
+//! channels for the consumer instances on this node and frame addresses on a
+//! [`crate::Transport`] for the rest; one OS thread per local filter
+//! instance; and a [`Router`] that dispatches frames from remote producers
+//! into local lanes. The router mirrors the producer-endpoint refcount: a
+//! local port closes once every local writer has dropped *and* a `Close`
+//! frame has arrived for every remote producer endpoint that could reach it.
+//! *Finishing* a node joins its threads, shuts its transport down and
 //! returns a [`RuntimeReport`] with the per-stream traffic counters. Filter
 //! errors and panics are collected and reported (the first error wins;
 //! remaining filters unwind naturally as their streams close).
 //!
-//! [`Runtime::run_distributed`] is the same engine restricted to one node of
-//! a cluster: every process runs the *same* layout, but only the filter
-//! instances placed on its [`crate::Transport::node`] are spawned locally.
-//! Inboxes for local consumers get real channel lanes; lanes of consumers
-//! placed elsewhere become frame sends over the transport. Incoming frames
-//! from remote producers are dispatched by a [`Router`] that mirrors the
-//! producer-endpoint refcount: a local port closes once every local writer
-//! has dropped *and* a `Close` frame has arrived for every remote producer
-//! endpoint that could reach it — the exact closure rule of the in-process
-//! runtime, split across processes.
+//! [`Runtime::run_distributed`] mounts and finishes one node of a cluster
+//! whose other nodes are other processes. [`Runtime::run`] runs a whole
+//! layout in this process, each node mounted on its own member of a
+//! [`crate::ChannelTransport`] cluster, so in-process and distributed runs
+//! take one code path.
 
 use crate::buffer::DataBuffer;
 use crate::codec::{Frame, FrameKind};
 use crate::filter::FilterContext;
 use crate::layout::Layout;
-use crate::stream::{Delivery, Inbox, PortCounters, StreamStats};
-use crate::transport::{FrameSink, Transport};
+use crate::stream::{Delivery, Inbox, PortCounters, StreamReader, StreamStats, StreamWriter};
+use crate::transport::{ChannelTransport, FrameSink, Transport};
 use crate::{FsError, NodeId, Result};
 use dooc_sync::channel::Sender;
 use dooc_sync::Mutex;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Post-run traffic summary of one stream.
@@ -61,7 +63,7 @@ pub struct PortReport {
 }
 
 /// Result of a completed dataflow run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RuntimeReport {
     /// Wall-clock duration of the run.
     pub elapsed: Duration,
@@ -95,6 +97,27 @@ impl RuntimeReport {
             .iter()
             .filter(|p| p.received != p.delivered)
             .collect()
+    }
+
+    /// Folds another node's report of the same layout into this one. Every
+    /// node lists the same streams and ports in the same order, so the
+    /// counters add up entry by entry; the run lasted as long as its slowest
+    /// node.
+    fn absorb(&mut self, other: RuntimeReport) {
+        self.elapsed = self.elapsed.max(other.elapsed);
+        for (s, o) in self.streams.iter_mut().zip(other.streams) {
+            debug_assert_eq!(s.name, o.name);
+            s.buffers += o.buffers;
+            s.bytes += o.bytes;
+            s.remote_bytes += o.remote_bytes;
+        }
+        for (p, o) in self.ports.iter_mut().zip(other.ports) {
+            debug_assert_eq!(p.name, o.name);
+            p.delivered += o.delivered;
+            p.received += o.received;
+            p.delivered_bytes += o.delivered_bytes;
+            p.received_bytes += o.received_bytes;
+        }
     }
 }
 
@@ -199,8 +222,12 @@ impl FrameSink for Router {
     }
 }
 
-/// Checks the extra constraints a multi-process run imposes on a layout.
-fn validate_distributed(layout: &Layout, nnodes: usize) -> Result<()> {
+/// Checks a layout before any node mounts it: the structural rules of
+/// [`Layout::validate`] plus what routing across nodes imposes — every
+/// placement inside the `nnodes` cluster, round-robin consumers on one node,
+/// and input ports addressable by a `u16` inbox index.
+fn validate(layout: &Layout, nnodes: usize) -> Result<()> {
+    layout.validate()?;
     for f in &layout.filters {
         for &n in &f.placements {
             if n.0 >= nnodes {
@@ -217,24 +244,297 @@ fn validate_distributed(layout: &Layout, nnodes: usize) -> Result<()> {
             if consumers.windows(2).any(|w| w[0] != w[1]) {
                 return Err(FsError::InvalidLayout(format!(
                     "round-robin stream into '{}.{}' spans nodes — a shared \
-                     demand-driven lane cannot cross processes; use aligned, \
+                     demand-driven lane cannot cross nodes; use aligned, \
                      broadcast or addressed delivery",
                     layout.filters[s.to.0].name, s.to_port
                 )));
             }
         }
     }
+    let ports: HashSet<_> = layout
+        .streams
+        .iter()
+        .map(|s| (s.to.0, &s.to_port))
+        .collect();
+    if ports.len() > 1 << 16 {
+        return Err(FsError::InvalidLayout("more than 65536 input ports".into()));
+    }
     Ok(())
+}
+
+/// One node's share of a layout after [`mount`]: frame delivery started and
+/// the local filter instances running.
+struct Mounted {
+    transport: Arc<dyn Transport>,
+    started: Instant,
+    handles: Vec<(String, usize, JoinHandle<Result<()>>)>,
+    /// A transport start or thread spawn failure. Nothing was spawned after
+    /// it, and the unspawned instances' endpoints are dropped, so the rest
+    /// of the run still drains.
+    error: Option<FsError>,
+    stream_stats: Vec<(String, Arc<StreamStats>)>,
+    port_counters: Vec<(String, Arc<PortCounters>)>,
+}
+
+/// Mounts the share of a validated layout placed on `transport.node()`:
+/// builds the inboxes, writers, readers and router, starts frame delivery,
+/// and spawns the local filter instances. Inbox indices follow first
+/// occurrence in stream declaration order, so every node that mounts the
+/// same layout agrees on wire addresses.
+fn mount(layout: &mut Layout, transport: Arc<dyn Transport>) -> Mounted {
+    let me = transport.node();
+    let Layout { filters, streams } = layout;
+
+    // One inbox per (consumer filter, input port); fanned-in streams share
+    // it. Validation guaranteed delivery agreement and the index range.
+    let mut inboxes: HashMap<(usize, String), (u16, Inbox)> = HashMap::new();
+    for s in streams.iter() {
+        let key = (s.to.0, s.to_port.clone());
+        if inboxes.contains_key(&key) {
+            continue;
+        }
+        let idx = inboxes.len() as u16;
+        let inbox = Inbox::new_on(
+            s.delivery,
+            s.capacity,
+            &filters[s.to.0].placements,
+            &s.to_port,
+            idx,
+            Arc::clone(&transport),
+        );
+        inboxes.insert(key, (idx, inbox));
+    }
+
+    // Per-stream stats and writers for the producer instances on this node
+    // (remote ones announce themselves through the transport).
+    let mut stream_stats: Vec<(String, Arc<StreamStats>)> = Vec::with_capacity(streams.len());
+    // writers[fidx][inst] : port -> StreamWriter
+    let mut writers: Vec<Vec<HashMap<String, StreamWriter>>> = filters
+        .iter()
+        .map(|f| (0..f.placements.len()).map(|_| HashMap::new()).collect())
+        .collect();
+    for s in streams.iter() {
+        let name = format!(
+            "{}.{} -> {}.{}",
+            filters[s.from.0].name, s.from_port, filters[s.to.0].name, s.to_port
+        );
+        let stats = Arc::new(StreamStats::default());
+        stream_stats.push((name, Arc::clone(&stats)));
+        let (_, inbox) = &inboxes[&(s.to.0, s.to_port.clone())];
+        for (inst, &node) in filters[s.from.0].placements.iter().enumerate() {
+            if node == me {
+                let w = inbox.writer(&s.from_port, inst, Arc::clone(&stats));
+                writers[s.from.0][inst].insert(s.from_port.clone(), w);
+            }
+        }
+    }
+
+    // The router holds sender clones for the local lanes remote producers
+    // can reach; frame delivery starts before any local filter runs.
+    let mut lanes: HashMap<(u16, u32), LaneState> = HashMap::new();
+    for s in streams.iter() {
+        let (idx, inbox) = &inboxes[&(s.to.0, s.to_port.clone())];
+        let consumers = &filters[s.to.0].placements;
+        for (p, &pnode) in filters[s.from.0].placements.iter().enumerate() {
+            if pnode == me {
+                continue;
+            }
+            // Lanes on this node the remote endpoint can reach — must mirror
+            // StreamWriter::send_closes exactly.
+            let reachable = match s.delivery {
+                Delivery::RoundRobin => 0..1,
+                Delivery::Aligned => p..p + 1,
+                Delivery::Broadcast | Delivery::Addressed => 0..consumers.len(),
+            };
+            for lane in reachable.filter(|&l| consumers.get(l) == Some(&me)) {
+                let entry = lanes
+                    .entry((*idx, lane as u32))
+                    .or_insert_with(|| LaneState {
+                        tx: inbox.local_lane_sender(lane),
+                        counters: Arc::clone(&inbox.counters),
+                        refs: HashMap::new(),
+                    });
+                *entry.refs.entry(pnode.0).or_insert(0) += 1;
+            }
+        }
+    }
+    let router = Arc::new(Router {
+        lanes: Mutex::new(lanes),
+    });
+    let mut error = transport.start(router).err();
+
+    // Readers of the local consumer instances; keep each inbox's delivery
+    // tally for the post-run leak audit.
+    // readers[fidx][inst] : port -> StreamReader
+    let mut readers: Vec<Vec<HashMap<String, StreamReader>>> = filters
+        .iter()
+        .map(|f| (0..f.placements.len()).map(|_| HashMap::new()).collect())
+        .collect();
+    let mut port_counters: Vec<(String, Arc<PortCounters>)> = Vec::new();
+    for ((fidx, port), (_, mut inbox)) in inboxes {
+        port_counters.push((
+            format!("{}.{}", filters[fidx].name, port),
+            Arc::clone(&inbox.counters),
+        ));
+        for (inst, slot) in readers[fidx].iter_mut().enumerate() {
+            if filters[fidx].placements[inst] == me {
+                slot.insert(port.clone(), inbox.take_reader(inst));
+            }
+        }
+    }
+    port_counters.sort_by(|a, b| a.0.cmp(&b.0));
+
+    let started = Instant::now();
+    let mut handles = Vec::new();
+    'spawn: for (fidx, decl) in filters.iter_mut().enumerate().rev() {
+        let replicas = decl.placements.len();
+        for (inst, &node) in decl.placements.iter().enumerate().rev() {
+            if error.is_some() {
+                break 'spawn;
+            }
+            if node != me {
+                continue;
+            }
+            let inputs = std::mem::take(&mut readers[fidx][inst]);
+            let outputs = std::mem::take(&mut writers[fidx][inst]);
+            let mut ctx =
+                FilterContext::new(decl.name.clone(), node, inst, replicas, inputs, outputs);
+            let mut filter = (decl.factory)(inst);
+            let name = decl.name.clone();
+            let spawned = std::thread::Builder::new()
+                .name(format!("{name}[{inst}]"))
+                .spawn(move || -> Result<()> {
+                    let _span = dooc_obs::enabled().then(|| {
+                        dooc_obs::span(
+                            dooc_obs::Category::Filterstream,
+                            dooc_obs::intern(&format!("filter:{}", ctx.name)),
+                            ctx.node.0 as i64,
+                        )
+                    });
+                    filter.run(&mut ctx)
+                });
+            match spawned {
+                Ok(handle) => handles.push((name, inst, handle)),
+                Err(e) => {
+                    error = Some(FsError::InvalidLayout(format!(
+                        "failed to spawn thread for {name}[{inst}]: {e}"
+                    )))
+                }
+            }
+        }
+    }
+    // Every remaining endpoint drops here, so closure cascades correctly
+    // (writers emit their Close frames).
+    Mounted {
+        transport,
+        started,
+        handles,
+        error,
+        stream_stats,
+        port_counters,
+    }
+}
+
+impl Mounted {
+    /// Joins the local filter threads, shuts the transport down and builds
+    /// this node's report. The transport shutdown runs on the error path
+    /// too, so a failing node still tells its peers it is gone rather than
+    /// leaving them blocked on a silent link. The first error wins.
+    fn finish(self) -> Result<RuntimeReport> {
+        let mut first_error = self.error;
+        for (name, inst, handle) in self.handles {
+            let err = match handle.join() {
+                Ok(Ok(())) => continue,
+                Ok(Err(e)) => e,
+                Err(_) => FsError::FilterPanicked {
+                    filter: name,
+                    instance: inst,
+                },
+            };
+            first_error.get_or_insert(err);
+        }
+        self.transport.shutdown();
+        if let Some(e) = first_error {
+            return Err(e);
+        }
+        let streams = self
+            .stream_stats
+            .into_iter()
+            .map(|(name, st)| {
+                let (buffers, bytes, remote_bytes) = st.snapshot();
+                StreamReport {
+                    name,
+                    buffers,
+                    bytes,
+                    remote_bytes,
+                }
+            })
+            .collect();
+        let ports = self
+            .port_counters
+            .into_iter()
+            .map(|(name, c)| {
+                use dooc_sync::atomic::Ordering;
+                PortReport {
+                    name,
+                    delivered: c.enqueued.load(Ordering::Relaxed),
+                    received: c.dequeued.load(Ordering::Relaxed),
+                    delivered_bytes: c.bytes_enqueued.load(Ordering::Relaxed),
+                    received_bytes: c.bytes_dequeued.load(Ordering::Relaxed),
+                }
+            })
+            .collect();
+        Ok(RuntimeReport {
+            elapsed: self.started.elapsed(),
+            streams,
+            ports,
+        })
+    }
 }
 
 /// The filter-stream execution engine.
 pub struct Runtime;
 
 impl Runtime {
-    /// Runs a layout to completion in this process (every node is a thread
-    /// group; no transport involved).
-    pub fn run(layout: Layout) -> Result<RuntimeReport> {
-        Self::run_inner(layout, None)
+    /// Runs a layout to completion in this process. Each node — 0 up to the
+    /// highest placed one — gets its own [`ChannelTransport`], inboxes,
+    /// router and filter threads, exactly as a [`Runtime::run_distributed`]
+    /// process would, so cross-node buffers travel as frames here too. The
+    /// report sums the nodes' stream and port counters; `elapsed` is the
+    /// slowest node's.
+    pub fn run(mut layout: Layout) -> Result<RuntimeReport> {
+        let nnodes = layout
+            .filters
+            .iter()
+            .flat_map(|f| &f.placements)
+            .map(|n| n.0 + 1)
+            .max()
+            .unwrap_or(1);
+        validate(&layout, nnodes)?;
+        let nodes: Vec<Mounted> = ChannelTransport::cluster(nnodes)
+            .into_iter()
+            .map(|t| mount(&mut layout, Arc::new(t)))
+            .collect();
+        // A channel transport's shutdown returns only once every member has
+        // dropped its senders, so the nodes must finish concurrently.
+        // Node 0 finishes on the calling thread, the rest on scoped threads.
+        std::thread::scope(|s| {
+            let mut nodes = nodes.into_iter();
+            let head = nodes.next();
+            let rest: Vec<_> = nodes.map(|m| s.spawn(move || m.finish())).collect();
+            head.map(Mounted::finish)
+                .into_iter()
+                .chain(
+                    rest.into_iter()
+                        .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p))),
+                )
+                .reduce(|a, b| {
+                    let mut a = a?;
+                    a.absorb(b?);
+                    Ok(a)
+                })
+                .unwrap_or_else(|| Ok(RuntimeReport::default()))
+        })
     }
 
     /// Runs this node's share of a layout: spawns only the filter instances
@@ -249,275 +549,12 @@ impl Runtime {
     ///
     /// The returned report covers *this process's* view: stream stats count
     /// local producers only, port tallies cover local lanes only.
-    pub fn run_distributed(layout: Layout, transport: Arc<dyn Transport>) -> Result<RuntimeReport> {
-        Self::run_inner(layout, Some(transport))
-    }
-
-    fn run_inner(layout: Layout, transport: Option<Arc<dyn Transport>>) -> Result<RuntimeReport> {
-        layout.validate()?;
-        if let Some(t) = &transport {
-            validate_distributed(&layout, t.nnodes())?;
-        }
-        // `None` means "everything is local" (single-process run).
-        let me: Option<NodeId> = transport.as_ref().map(|t| t.node());
-        let is_local = |n: NodeId| me.is_none_or(|m| m == n);
-        let Layout {
-            mut filters,
-            streams,
-        } = layout;
-
-        // One inbox per (consumer filter, input port); fanned-in streams
-        // share it. Validation guaranteed delivery agreement. Inbox indices
-        // follow first occurrence in stream declaration order, so identical
-        // layouts yield identical wire addresses on every node.
-        let mut inbox_idx: HashMap<(usize, String), u16> = HashMap::new();
-        let mut inboxes: HashMap<(usize, String), Inbox> = HashMap::new();
-        for s in &streams {
-            let key = (s.to.0, s.to_port.clone());
-            if inboxes.contains_key(&key) {
-                continue;
-            }
-            let idx = u16::try_from(inbox_idx.len())
-                .map_err(|_| FsError::InvalidLayout("more than 65535 input ports".into()))?;
-            inbox_idx.insert(key.clone(), idx);
-            let placements = &filters[s.to.0].placements;
-            let inbox = match &transport {
-                Some(t) => Inbox::new_on(
-                    s.delivery,
-                    s.capacity,
-                    placements,
-                    &s.to_port,
-                    idx,
-                    Arc::clone(t),
-                ),
-                None => Inbox::new(s.delivery, s.capacity, placements, &s.to_port),
-            };
-            inboxes.insert(key, inbox);
-        }
-
-        // Per-stream stats and per-producer-instance writers — writers exist
-        // only for producer instances in this process (remote ones announce
-        // themselves through the transport).
-        let mut stream_stats: Vec<(String, Arc<StreamStats>)> = Vec::with_capacity(streams.len());
-        // writers[fidx][inst] : Vec<(port, StreamWriter)>
-        let mut writers: Vec<Vec<Vec<(String, crate::stream::StreamWriter)>>> = filters
-            .iter()
-            .map(|f| (0..f.placements.len()).map(|_| Vec::new()).collect())
-            .collect();
-        for s in &streams {
-            let name = format!(
-                "{}.{} -> {}.{}",
-                filters[s.from.0].name, s.from_port, filters[s.to.0].name, s.to_port
-            );
-            let stats = Arc::new(StreamStats::default());
-            stream_stats.push((name, Arc::clone(&stats)));
-            let inbox = &inboxes[&(s.to.0, s.to_port.clone())];
-            for (inst, &node) in filters[s.from.0].placements.iter().enumerate() {
-                if !is_local(node) {
-                    continue;
-                }
-                let w = inbox.writer(&s.from_port, inst, node, Arc::clone(&stats));
-                writers[s.from.0][inst].push((s.from_port.clone(), w));
-            }
-        }
-
-        // In distributed mode, build the router (it holds sender clones for
-        // lanes remote producers can reach) and start frame delivery before
-        // any local filter runs.
-        if let Some(t) = &transport {
-            let m = t.node();
-            let mut lanes: HashMap<(u16, u32), LaneState> = HashMap::new();
-            for s in &streams {
-                let key = (s.to.0, s.to_port.clone());
-                let idx = inbox_idx[&key];
-                let inbox = &inboxes[&key];
-                let consumers = &filters[s.to.0].placements;
-                for &pnode in filters[s.from.0].placements.iter() {
-                    if pnode == m {
-                        continue;
-                    }
-                    // Lanes on this node the remote endpoint can reach —
-                    // must mirror StreamWriter::send_closes exactly.
-                    let reachable: Vec<u32> = match s.delivery {
-                        Delivery::RoundRobin => {
-                            if consumers[0] == m {
-                                vec![0]
-                            } else {
-                                vec![]
-                            }
-                        }
-                        Delivery::Aligned => Vec::new(), // filled below per-instance
-                        Delivery::Broadcast | Delivery::Addressed => consumers
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, &n)| n == m)
-                            .map(|(i, _)| i as u32)
-                            .collect(),
-                    };
-                    for lane in reachable {
-                        let entry = lanes.entry((idx, lane)).or_insert_with(|| LaneState {
-                            tx: inbox.local_lane_sender(lane as usize),
-                            counters: Arc::clone(&inbox.counters),
-                            refs: HashMap::new(),
-                        });
-                        *entry.refs.entry(pnode.0).or_insert(0) += 1;
-                    }
-                }
-                if s.delivery == Delivery::Aligned {
-                    for (p, &pnode) in filters[s.from.0].placements.iter().enumerate() {
-                        if pnode == m || consumers.get(p) != Some(&m) {
-                            continue;
-                        }
-                        let lane = p as u32;
-                        let entry = lanes.entry((idx, lane)).or_insert_with(|| LaneState {
-                            tx: inbox.local_lane_sender(p),
-                            counters: Arc::clone(&inbox.counters),
-                            refs: HashMap::new(),
-                        });
-                        *entry.refs.entry(pnode.0).or_insert(0) += 1;
-                    }
-                }
-            }
-            let router = Arc::new(Router {
-                lanes: Mutex::new(lanes),
-            });
-            t.start(router)?;
-        }
-
-        // Distribute readers (local consumer instances only); keep each
-        // inbox's delivery tally for the post-run leak audit.
-        // readers[fidx][inst] : Vec<(port, StreamReader)>
-        let mut readers: Vec<Vec<Vec<(String, crate::stream::StreamReader)>>> = filters
-            .iter()
-            .map(|f| (0..f.placements.len()).map(|_| Vec::new()).collect())
-            .collect();
-        let mut port_counters: Vec<(String, Arc<PortCounters>)> = Vec::new();
-        for ((fidx, port), mut inbox) in inboxes {
-            port_counters.push((
-                format!("{}.{}", filters[fidx].name, port),
-                Arc::clone(&inbox.counters),
-            ));
-            for (inst, slot) in readers[fidx].iter_mut().enumerate() {
-                if is_local(filters[fidx].placements[inst]) {
-                    slot.push((port.clone(), inbox.take_reader(inst)));
-                }
-            }
-        }
-        port_counters.sort_by(|a, b| a.0.cmp(&b.0));
-
-        // Spawn every local filter instance.
-        let started = Instant::now();
-        let mut handles = Vec::new();
-        for (fidx, decl) in filters.iter_mut().enumerate().rev() {
-            let replicas = decl.placements.len();
-            for (inst, &node) in decl.placements.iter().enumerate().rev() {
-                if !is_local(node) {
-                    continue;
-                }
-                let inputs: HashMap<_, _> = readers[fidx].pop_if_last(inst);
-                let outputs: HashMap<_, _> = writers[fidx].pop_if_last(inst);
-                let mut ctx =
-                    FilterContext::new(decl.name.clone(), node, inst, replicas, inputs, outputs);
-                let mut filter = (decl.factory)(inst);
-                let name = decl.name.clone();
-                let handle = std::thread::Builder::new()
-                    .name(format!("{name}[{inst}]"))
-                    .spawn(move || -> Result<()> {
-                        let _span = dooc_obs::enabled().then(|| {
-                            dooc_obs::span(
-                                dooc_obs::Category::Filterstream,
-                                dooc_obs::intern(&format!("filter:{}", ctx.name)),
-                                ctx.node.0 as i64,
-                            )
-                        });
-                        filter.run(&mut ctx)
-                    })
-                    .map_err(|e| {
-                        FsError::InvalidLayout(format!(
-                            "failed to spawn thread for {name}[{inst}]: {e}"
-                        ))
-                    })?;
-                handles.push((name, inst, handle));
-            }
-        }
-        // All endpoint collections were moved into threads; nothing in this
-        // frame keeps a sender alive, so closure cascades correctly.
-        drop(writers);
-        drop(readers);
-
-        let mut first_error: Option<FsError> = None;
-        for (name, inst, handle) in handles {
-            match handle.join() {
-                Ok(Ok(())) => {}
-                Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
-                }
-                Err(_) => {
-                    if first_error.is_none() {
-                        first_error = Some(FsError::FilterPanicked {
-                            filter: name,
-                            instance: inst,
-                        });
-                    }
-                }
-            }
-        }
-        // Every local producer endpoint has dropped (and emitted its Close
-        // frames) — flush, announce, and drain. Runs on the error path too,
-        // so a failing node still tells its peers it is gone rather than
-        // leaving them blocked on a silent socket.
-        if let Some(t) = &transport {
-            t.shutdown();
-        }
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-
-        let elapsed = started.elapsed();
-        let streams = stream_stats
-            .into_iter()
-            .map(|(name, st)| {
-                let (buffers, bytes, remote_bytes) = st.snapshot();
-                StreamReport {
-                    name,
-                    buffers,
-                    bytes,
-                    remote_bytes,
-                }
-            })
-            .collect();
-        let ports = port_counters
-            .into_iter()
-            .map(|(name, c)| {
-                use dooc_sync::atomic::Ordering;
-                PortReport {
-                    name,
-                    delivered: c.enqueued.load(Ordering::Relaxed),
-                    received: c.dequeued.load(Ordering::Relaxed),
-                    delivered_bytes: c.bytes_enqueued.load(Ordering::Relaxed),
-                    received_bytes: c.bytes_dequeued.load(Ordering::Relaxed),
-                }
-            })
-            .collect();
-        Ok(RuntimeReport {
-            elapsed,
-            streams,
-            ports,
-        })
-    }
-}
-
-/// Helper: move instance `inst`'s endpoint list out of a per-filter vector,
-/// leaving an empty slot (instances are consumed back-to-front).
-trait PopIfLast<T> {
-    fn pop_if_last(&mut self, inst: usize) -> HashMap<String, T>;
-}
-
-impl<T> PopIfLast<T> for Vec<Vec<(String, T)>> {
-    fn pop_if_last(&mut self, inst: usize) -> HashMap<String, T> {
-        std::mem::take(&mut self[inst]).into_iter().collect()
+    pub fn run_distributed(
+        mut layout: Layout,
+        transport: Arc<dyn Transport>,
+    ) -> Result<RuntimeReport> {
+        validate(&layout, transport.nnodes())?;
+        mount(&mut layout, transport).finish()
     }
 }
 
@@ -840,6 +877,143 @@ mod tests {
             Runtime::run(layout),
             Err(FsError::UnknownPort { .. })
         ));
+    }
+
+    /// A source sending `bufs` buffers on port `out` with `send`, or with
+    /// `send_to` each listed destination when `dests` is non-empty.
+    fn source(bufs: u64, dests: Vec<usize>) -> Box<dyn crate::Filter> {
+        Box::new(move |ctx: &mut FilterContext| {
+            let out = ctx.output("out")?;
+            for i in 0..bufs {
+                if dests.is_empty() {
+                    out.send(DataBuffer::tag_only(i))?;
+                }
+                for &d in &dests {
+                    out.send_to(NodeId(d), DataBuffer::tag_only(i))?;
+                }
+            }
+            Ok(())
+        })
+    }
+
+    /// A consumer factory whose instances drain port `in`.
+    fn drain_all(_instance: usize) -> Box<dyn crate::Filter> {
+        Box::new(|ctx: &mut FilterContext| {
+            let inp = ctx.input("in")?;
+            while inp.recv().is_some() {}
+            Ok(())
+        })
+    }
+
+    #[test]
+    fn remote_bytes_counted_across_nodes() {
+        let mut layout = Layout::new();
+        let src = layout.add_filter("src", NodeId(0), source(1, vec![]));
+        let sink = layout.add_replicated("sink", vec![NodeId(0), NodeId(1)], drain_all);
+        layout.connect_with(src, "out", sink, "in", Delivery::Broadcast, 4);
+        let report = Runtime::run(layout).expect("run ok");
+        let s = report.stream("src.out -> sink.in").expect("stream");
+        assert_eq!(s.bytes, 16);
+        assert_eq!(s.remote_bytes, 16, "only the NodeId(1) replica is remote");
+        assert!(report.undrained_ports().is_empty());
+    }
+
+    #[test]
+    fn addressed_remote_accounting_is_per_destination() {
+        let mut layout = Layout::new();
+        let src = layout.add_filter("src", NodeId(0), source(1, vec![0, 1]));
+        let sink = layout.add_replicated("sink", vec![NodeId(0), NodeId(1)], drain_all);
+        layout.connect_with(src, "out", sink, "in", Delivery::Addressed, 4);
+        let report = Runtime::run(layout).expect("run ok");
+        let s = report.stream("src.out -> sink.in").expect("stream");
+        assert_eq!(s.bytes, 32);
+        assert_eq!(s.remote_bytes, 16);
+    }
+
+    #[test]
+    fn round_robin_across_nodes_is_invalid() {
+        let mut layout = Layout::new();
+        let src = layout.add_filter("src", NodeId(0), source(1, vec![]));
+        let sink = layout.add_replicated("sink", vec![NodeId(0), NodeId(1)], drain_all);
+        layout.connect(src, "out", sink, "in");
+        match Runtime::run(layout) {
+            Err(FsError::InvalidLayout(m)) => assert!(m.contains("spans nodes"), "{m}"),
+            other => panic!("expected InvalidLayout, got {other:?}"),
+        }
+    }
+
+    /// Three nodes, every delivery policy crossing node boundaries: the
+    /// merged report balances port by port, and each stream's buffer count
+    /// is the sum of what its producers on all nodes sent.
+    #[test]
+    fn three_node_report_merges_and_balances() {
+        let mut layout = Layout::new();
+        let nodes = vec![NodeId(0), NodeId(1), NodeId(2)];
+        let producers = layout.add_replicated("p", nodes, |_| {
+            Box::new(|ctx: &mut FilterContext| {
+                let n = 5 + ctx.instance as u64;
+                for i in 0..n {
+                    ctx.output("bcast")?.send(DataBuffer::from_u64s(i, &[i]))?;
+                    ctx.output("aligned")?.send(DataBuffer::tag_only(i))?;
+                    let dest = NodeId((ctx.instance + i as usize) % 3);
+                    ctx.output("addr")?.send_to(dest, DataBuffer::tag_only(i))?;
+                }
+                ctx.output("rr")?.send(DataBuffer::tag_only(0))?;
+                Ok(())
+            })
+        });
+        let consumers = layout.add_replicated("c", vec![NodeId(2), NodeId(0), NodeId(1)], |_| {
+            Box::new(|ctx: &mut FilterContext| {
+                let mut set = crate::StreamSet::new(vec![
+                    ctx.take_input("bcast")?,
+                    ctx.take_input("aligned")?,
+                    ctx.take_input("addr")?,
+                ]);
+                while set.recv().is_some() {}
+                Ok(())
+            })
+        });
+        let sink = layout.add_replicated("rr", vec![NodeId(1); 2], drain_all);
+        layout.connect_with(
+            producers,
+            "bcast",
+            consumers,
+            "bcast",
+            Delivery::Broadcast,
+            4,
+        );
+        layout.connect_with(
+            producers,
+            "aligned",
+            consumers,
+            "aligned",
+            Delivery::Aligned,
+            4,
+        );
+        layout.connect_with(producers, "addr", consumers, "addr", Delivery::Addressed, 4);
+        layout.connect(producers, "rr", sink, "in");
+        let report = Runtime::run(layout).expect("run ok");
+
+        assert!(report.undrained_ports().is_empty(), "{:?}", report.ports);
+        let sent = 5 + 6 + 7;
+        for (name, buffers, delivered) in [
+            ("p.bcast -> c.bcast", sent, 3 * sent),
+            ("p.aligned -> c.aligned", sent, sent),
+            ("p.addr -> c.addr", sent, sent),
+            ("p.rr -> rr.in", 3, 3),
+        ] {
+            let s = report.stream(name).expect("stream reported");
+            assert_eq!(s.buffers, buffers, "{name}: summed producer sends");
+            let port = name.split(" -> ").nth(1).expect("consumer port");
+            let p = report
+                .ports
+                .iter()
+                .find(|p| p.name == port)
+                .expect("port reported");
+            assert_eq!(p.delivered, delivered, "{name}: lane inserts");
+        }
+        let rr = report.stream("p.rr -> rr.in").expect("rr");
+        assert_eq!(rr.remote_bytes, 2 * 16, "nodes 0 and 2 send to node 1");
     }
 
     #[test]

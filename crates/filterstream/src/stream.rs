@@ -26,16 +26,16 @@
 //!
 //! # Local and remote lanes
 //!
-//! Each consumer lane is either a channel in this process or an address on a
-//! [`Transport`] ([`LaneTx`]). A writer routes per buffer: local lanes get
-//! the `DataBuffer` directly (payload shared, never copied); remote lanes
-//! get a [`Frame`] whose payload is the same shared [`bytes::Bytes`]. The
-//! delivery policy is applied entirely on the producer side, so in-process
-//! and distributed runs make identical routing decisions. When a writer with
-//! remote lanes drops, it sends one `Close` frame per reachable remote lane;
-//! the receiving runtime's router mirrors the producer-endpoint refcount and
-//! closes the port once local drops and remote closes agree (see
-//! [`crate::runtime`]).
+//! Each consumer lane is either a channel to a consumer on the producer's
+//! node or an address on a [`Transport`] ([`LaneTx`]). A writer routes per
+//! buffer: local lanes get the `DataBuffer` directly (payload shared, never
+//! copied); remote lanes get a [`Frame`] whose payload is the same shared
+//! [`bytes::Bytes`]. The delivery policy is applied entirely on the producer
+//! side, so every transport makes identical routing decisions. When a
+//! writer with remote lanes drops, it sends one `Close` frame per reachable
+//! remote lane; the receiving node's router mirrors the producer-endpoint
+//! refcount and closes the port once local drops and remote closes agree
+//! (see [`crate::runtime`]).
 
 use crate::buffer::DataBuffer;
 use crate::codec::Frame;
@@ -113,9 +113,9 @@ impl StreamStats {
 /// one) should eventually be dequeued by a consumer; a shortfall at the end
 /// of a run means buffers were abandoned in a lane. Byte totals use the
 /// buffer wire size, so `bytes_enqueued == bytes_dequeued` at the end of a
-/// clean run — the send/recv balance the obs tests assert. In distributed
-/// runs the *receiving* process counts the enqueue (its router does the lane
-/// insert), keeping the per-process balance exact.
+/// clean run — the send/recv balance the obs tests assert. For a remote
+/// lane the *receiving* node counts the enqueue (its router does the lane
+/// insert), keeping the per-node balance exact.
 #[derive(Debug, Default)]
 pub struct PortCounters {
     /// Buffers enqueued into consumer lanes.
@@ -128,12 +128,18 @@ pub struct PortCounters {
     pub bytes_dequeued: AtomicU64,
 }
 
-/// Producer-side address of one consumer lane: a channel in this process or
-/// an `(inbox, lane)` slot on a remote node.
+/// Producer-side address of one consumer lane: a channel to a consumer on
+/// the producer's node, or an `(inbox, lane)` slot on another node reached
+/// through `transport`.
 #[derive(Clone)]
 pub(crate) enum LaneTx {
     Local(Sender<DataBuffer>),
-    Remote { peer: NodeId, inbox: u16, lane: u32 },
+    Remote {
+        transport: Arc<dyn Transport>,
+        peer: NodeId,
+        inbox: u16,
+        lane: u32,
+    },
 }
 
 /// The consumer-side channel set of one (filter, input port): either a
@@ -144,35 +150,24 @@ pub(crate) enum InboxLanes {
     PerConsumer(Vec<LaneTx>),
 }
 
-/// Inbox of one (consumer filter, input port): the receiving half that
-/// consumer instances read from. Built once per port; every fanned-in stream
-/// sends into the same lanes. In a distributed runtime only the lanes of
-/// consumer instances placed in this process are backed by channels; the
-/// rest are [`LaneTx::Remote`] addresses.
+/// Inbox of one (consumer filter, input port) as seen from one node: the
+/// receiving half that consumer instances read from. Built once per port;
+/// every fanned-in stream sends into the same lanes. Only the lanes of
+/// consumer instances placed on this node are backed by channels; the rest
+/// are [`LaneTx::Remote`] addresses.
 pub(crate) struct Inbox {
     pub delivery: Delivery,
     pub lanes: InboxLanes,
     readers: Vec<Option<StreamReader>>,
-    pub consumer_nodes: Arc<[NodeId]>,
     pub counters: Arc<PortCounters>,
-    transport: Option<Arc<dyn Transport>>,
 }
 
 impl Inbox {
-    /// An all-local inbox (single-process runtime).
-    pub fn new(
-        delivery: Delivery,
-        capacity: usize,
-        consumer_nodes: &[NodeId],
-        consumer_port: &str,
-    ) -> Self {
-        Self::build(delivery, capacity, consumer_nodes, consumer_port, None)
-    }
-
-    /// A distributed inbox: lanes for consumer instances placed on
-    /// `transport.node()` are channels; the rest address `inbox_idx` on
-    /// their owning node. For round-robin delivery every consumer must sit
-    /// on one node (the runtime validates this before building inboxes).
+    /// The inbox `inbox_idx` as mounted on `transport.node()`: lanes for
+    /// consumer instances placed there are channels; the rest address
+    /// `inbox_idx` on their owning node. For round-robin delivery every
+    /// consumer must sit on one node (the runtime validates this before
+    /// building inboxes).
     pub fn new_on(
         delivery: Delivery,
         capacity: usize,
@@ -181,78 +176,46 @@ impl Inbox {
         inbox_idx: u16,
         transport: Arc<dyn Transport>,
     ) -> Self {
-        Self::build(
-            delivery,
-            capacity,
-            consumer_nodes,
-            consumer_port,
-            Some((inbox_idx, transport)),
-        )
-    }
-
-    fn build(
-        delivery: Delivery,
-        capacity: usize,
-        consumer_nodes: &[NodeId],
-        consumer_port: &str,
-        remote: Option<(u16, Arc<dyn Transport>)>,
-    ) -> Self {
         assert!(
             !consumer_nodes.is_empty(),
             "inbox needs at least one consumer"
         );
         let counters = Arc::new(PortCounters::default());
-        let local = remote.as_ref().map(|(_, t)| t.node());
-        let is_local = |n: NodeId| local.is_none_or(|me| me == n);
+        let me = transport.node();
+        let reader = |rx| StreamReader {
+            port: consumer_port.to_string(),
+            rx,
+            counters: Arc::clone(&counters),
+        };
+        let remote = |peer, lane| LaneTx::Remote {
+            transport: Arc::clone(&transport),
+            peer,
+            inbox: inbox_idx,
+            lane,
+        };
         let (lanes, readers) = match delivery {
+            Delivery::RoundRobin if consumer_nodes[0] == me => {
+                let (tx, rx) = bounded(capacity);
+                let readers = consumer_nodes
+                    .iter()
+                    .map(|_| Some(reader(rx.clone())))
+                    .collect();
+                (InboxLanes::Shared(LaneTx::Local(tx)), readers)
+            }
             Delivery::RoundRobin => {
-                if is_local(consumer_nodes[0]) {
-                    debug_assert!(
-                        consumer_nodes.iter().all(|&n| is_local(n)),
-                        "round-robin consumers must share a node in distributed mode"
-                    );
-                    let (tx, rx) = bounded(capacity);
-                    let readers = consumer_nodes
-                        .iter()
-                        .map(|_| {
-                            Some(StreamReader {
-                                port: consumer_port.to_string(),
-                                rx: rx.clone(),
-                                counters: Arc::clone(&counters),
-                            })
-                        })
-                        .collect();
-                    (InboxLanes::Shared(LaneTx::Local(tx)), readers)
-                } else {
-                    let inbox_idx = remote.as_ref().map(|(i, _)| *i).unwrap_or(0);
-                    let lane = LaneTx::Remote {
-                        peer: consumer_nodes[0],
-                        inbox: inbox_idx,
-                        lane: 0,
-                    };
-                    let readers = consumer_nodes.iter().map(|_| None).collect();
-                    (InboxLanes::Shared(lane), readers)
-                }
+                let readers = consumer_nodes.iter().map(|_| None).collect();
+                (InboxLanes::Shared(remote(consumer_nodes[0], 0)), readers)
             }
             Delivery::Broadcast | Delivery::Aligned | Delivery::Addressed => {
                 let mut txs = Vec::with_capacity(consumer_nodes.len());
                 let mut readers = Vec::with_capacity(consumer_nodes.len());
                 for (i, &n) in consumer_nodes.iter().enumerate() {
-                    if is_local(n) {
+                    if n == me {
                         let (tx, rx) = bounded(capacity);
                         txs.push(LaneTx::Local(tx));
-                        readers.push(Some(StreamReader {
-                            port: consumer_port.to_string(),
-                            rx,
-                            counters: Arc::clone(&counters),
-                        }));
+                        readers.push(Some(reader(rx)));
                     } else {
-                        let inbox_idx = remote.as_ref().map(|(i, _)| *i).unwrap_or(0);
-                        txs.push(LaneTx::Remote {
-                            peer: n,
-                            inbox: inbox_idx,
-                            lane: i as u32,
-                        });
+                        txs.push(remote(n, i as u32));
                         readers.push(None);
                     }
                 }
@@ -263,14 +226,12 @@ impl Inbox {
             delivery,
             lanes,
             readers,
-            consumer_nodes: consumer_nodes.into(),
             counters,
-            transport: remote.map(|(_, t)| t),
         }
     }
 
-    /// Takes the reader of consumer instance `i` (exactly once; only local
-    /// instances have one in distributed mode).
+    /// Takes the reader of consumer instance `i` (exactly once; only
+    /// instances on this node have one).
     pub fn take_reader(&mut self, i: usize) -> StreamReader {
         match self.readers[i].take() {
             Some(r) => r,
@@ -278,9 +239,8 @@ impl Inbox {
         }
     }
 
-    /// A sender clone for a local lane, used by the distributed runtime's
-    /// router to feed frames from remote producers into the inbox. `None`
-    /// for remote lanes.
+    /// A sender clone for a local lane, used by the runtime's router to feed
+    /// frames from remote producers into the inbox. `None` for remote lanes.
     pub fn local_lane_sender(&self, lane: usize) -> Option<Sender<DataBuffer>> {
         match &self.lanes {
             InboxLanes::Shared(LaneTx::Local(tx)) if lane == 0 => Some(tx.clone()),
@@ -292,17 +252,17 @@ impl Inbox {
         }
     }
 
-    /// Creates a writer for producer instance `instance` placed on `node`.
+    /// Creates a writer for producer instance `instance`, placed on this
+    /// inbox's node.
     pub fn writer(
         &self,
         producer_port: &str,
         instance: usize,
-        node: NodeId,
         stats: Arc<StreamStats>,
     ) -> StreamWriter {
         if self.delivery == Delivery::Aligned {
             assert!(
-                instance < self.consumer_nodes.len(),
+                instance < self.readers.len(),
                 "aligned stream requires consumer instance {instance} to exist"
             );
         }
@@ -313,9 +273,7 @@ impl Inbox {
             stats,
             counters: Arc::clone(&self.counters),
             instance,
-            from_node: node,
-            consumer_nodes: Arc::clone(&self.consumer_nodes),
-            transport: self.transport.clone(),
+            consumers: self.readers.len(),
             #[cfg(feature = "faultline")]
             held: dooc_sync::Mutex::new(None),
         }
@@ -336,15 +294,8 @@ pub struct StreamWriter {
     counters: Arc<PortCounters>,
     /// Producer instance index (selects the lane for aligned delivery).
     instance: usize,
-    /// Node of the filter holding this writer.
-    from_node: NodeId,
-    /// Node of each consumer instance. For the shared (round-robin) lane the
-    /// precise receiver of a buffer is unknowable before a demand-driven
-    /// pull, so a buffer is charged as remote if *any* consumer sits on a
-    /// different node — the pessimistic bound.
-    consumer_nodes: Arc<[NodeId]>,
-    /// Frame pipe for remote lanes; `None` in single-process runtimes.
-    transport: Option<Arc<dyn Transport>>,
+    /// Number of consumer instances of the stream.
+    consumers: usize,
     /// Reorder hold-back slot: a buffer a `Fault::Reorder` injection parked
     /// so it is emitted *after* the next send (flushed on writer drop so no
     /// message is ever lost to reordering). `None` dest means [`Self::send`],
@@ -354,38 +305,42 @@ pub struct StreamWriter {
 }
 
 impl StreamWriter {
-    /// Producer-side accounting shared by every delivery: global counters
-    /// plus the per-stream stats. Local lane inserts additionally call
-    /// [`Self::account_enqueued`].
-    fn account_sent(&self, wire: u64, remote: bool) {
+    /// Producer-side accounting of one sent buffer: global counters plus the
+    /// per-stream stats (a broadcast counts once, however many replicas).
+    fn account_sent(&self, wire: u64) {
         fs_obs().buffers_sent.inc();
         fs_obs().bytes_sent.add(wire);
         self.stats.buffers.fetch_add(1, Ordering::Relaxed);
         self.stats.bytes.fetch_add(wire, Ordering::Relaxed);
-        if remote {
-            self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
+    }
+
+    /// Puts one buffer into one lane. A local lane is a channel insert,
+    /// tallied in the port's leak-audit counters. A remote lane is a frame
+    /// to the consumer's node, charged as remote bytes; the receiving node's
+    /// router counts the enqueue when it performs the lane insert, so each
+    /// node balances on its own.
+    fn put(&self, lane: &LaneTx, buf: DataBuffer, wire: u64) -> Result<()> {
+        match lane {
+            LaneTx::Local(tx) => {
+                tx.send(buf).map_err(|_| FsError::StreamClosed {
+                    port: self.port.clone(),
+                })?;
+                self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
+                self.counters
+                    .bytes_enqueued
+                    .fetch_add(wire, Ordering::Relaxed);
+            }
+            LaneTx::Remote {
+                transport,
+                peer,
+                inbox,
+                lane,
+            } => {
+                transport.send(*peer, Frame::data(*inbox, *lane, buf.tag, buf.payload))?;
+                self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
+            }
         }
-    }
-
-    /// Leak-audit tally for a buffer placed into a *local* lane. Remote
-    /// sends skip this: the receiving process's router counts the enqueue
-    /// when it performs the lane insert, so each process balances on its
-    /// own.
-    fn account_enqueued(&self, wire: u64) {
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_enqueued
-            .fetch_add(wire, Ordering::Relaxed);
-    }
-
-    fn send_remote(&self, peer: NodeId, inbox: u16, lane: u32, buf: &DataBuffer) -> Result<()> {
-        let Some(t) = &self.transport else {
-            return Err(FsError::Transport(format!(
-                "port '{}' routes to {peer} but this writer has no transport",
-                self.port
-            )));
-        };
-        t.send(peer, Frame::data(inbox, lane, buf.tag, buf.payload.clone()))
+        Ok(())
     }
 
     /// Consults the `faultline` message failpoint keyed by this writer's
@@ -458,63 +413,21 @@ impl StreamWriter {
         note_payload_write(&buf);
         let wire = buf.wire_size();
         match (&self.lanes, self.delivery) {
-            (InboxLanes::Shared(LaneTx::Local(tx)), _) => {
-                let remote = self.consumer_nodes.iter().any(|&n| n != self.from_node);
-                tx.send(buf).map_err(|_| FsError::StreamClosed {
-                    port: self.port.clone(),
-                })?;
-                self.account_enqueued(wire);
-                self.account_sent(wire, remote);
-            }
-            (InboxLanes::Shared(LaneTx::Remote { peer, inbox, lane }), _) => {
-                self.send_remote(*peer, *inbox, *lane, &buf)?;
-                self.account_sent(wire, true);
-            }
+            (InboxLanes::Shared(lane), _) => self.put(lane, buf, wire)?,
             (InboxLanes::PerConsumer(lanes), Delivery::Broadcast) => {
-                let mut delivered = 0usize;
-                for (i, lane) in lanes.iter().enumerate() {
-                    match lane {
-                        LaneTx::Local(tx) => {
-                            if tx.send(buf.clone()).is_ok() {
-                                delivered += 1;
-                                self.account_enqueued(wire);
-                                if self.consumer_nodes[i] != self.from_node {
-                                    self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
-                                }
-                            }
-                        }
-                        LaneTx::Remote { peer, inbox, lane } => {
-                            if self.send_remote(*peer, *inbox, *lane, &buf).is_ok() {
-                                delivered += 1;
-                                self.stats.remote_bytes.fetch_add(wire, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
+                let delivered = lanes
+                    .iter()
+                    .filter(|lane| self.put(lane, buf.clone(), wire).is_ok())
+                    .count();
                 if delivered == 0 {
                     return Err(FsError::StreamClosed {
                         port: self.port.clone(),
                     });
                 }
-                fs_obs().buffers_sent.inc();
-                fs_obs().bytes_sent.add(wire);
-                self.stats.buffers.fetch_add(1, Ordering::Relaxed);
-                self.stats.bytes.fetch_add(wire, Ordering::Relaxed);
             }
-            (InboxLanes::PerConsumer(lanes), Delivery::Aligned) => match &lanes[self.instance] {
-                LaneTx::Local(tx) => {
-                    let remote = self.consumer_nodes[self.instance] != self.from_node;
-                    tx.send(buf).map_err(|_| FsError::StreamClosed {
-                        port: self.port.clone(),
-                    })?;
-                    self.account_enqueued(wire);
-                    self.account_sent(wire, remote);
-                }
-                LaneTx::Remote { peer, inbox, lane } => {
-                    self.send_remote(*peer, *inbox, *lane, &buf)?;
-                    self.account_sent(wire, true);
-                }
-            },
+            (InboxLanes::PerConsumer(lanes), Delivery::Aligned) => {
+                self.put(&lanes[self.instance], buf, wire)?
+            }
             (InboxLanes::PerConsumer(_), Delivery::Addressed) => {
                 return Err(FsError::StreamClosed {
                     port: format!("{} (addressed stream requires send_to)", self.port),
@@ -524,6 +437,7 @@ impl StreamWriter {
                 unreachable!("round-robin inbox always uses a shared lane")
             }
         }
+        self.account_sent(wire);
         Ok(())
     }
 
@@ -552,20 +466,8 @@ impl StreamWriter {
                 let lane = lanes.get(dest.0).ok_or_else(|| FsError::StreamClosed {
                     port: format!("{} (no consumer instance {dest})", self.port),
                 })?;
-                match lane {
-                    LaneTx::Local(tx) => {
-                        let remote = self.consumer_nodes[dest.0] != self.from_node;
-                        tx.send(buf).map_err(|_| FsError::StreamClosed {
-                            port: self.port.clone(),
-                        })?;
-                        self.account_enqueued(wire);
-                        self.account_sent(wire, remote);
-                    }
-                    LaneTx::Remote { peer, inbox, lane } => {
-                        self.send_remote(*peer, *inbox, *lane, &buf)?;
-                        self.account_sent(wire, true);
-                    }
-                }
+                self.put(lane, buf, wire)?;
+                self.account_sent(wire);
                 Ok(())
             }
             _ => Err(FsError::StreamClosed {
@@ -577,34 +479,30 @@ impl StreamWriter {
     /// One `Close` frame per remote lane this endpoint could have written
     /// to; the consumer-side router decrements its mirrored refcount.
     fn send_closes(&self) {
-        let Some(t) = &self.transport else { return };
-        let close = |peer: NodeId, inbox: u16, lane: u32| {
-            // Best effort: the peer may already have shut down.
-            let _ = t.send(peer, Frame::close(inbox, lane));
-        };
-        match (&self.lanes, self.delivery) {
-            (InboxLanes::Shared(LaneTx::Remote { peer, inbox, lane }), _) => {
-                close(*peer, *inbox, *lane);
-            }
-            (InboxLanes::Shared(LaneTx::Local(_)), _) => {}
+        let reachable: &[LaneTx] = match (&self.lanes, self.delivery) {
+            (InboxLanes::Shared(lane), _) => std::slice::from_ref(lane),
             (InboxLanes::PerConsumer(lanes), Delivery::Aligned) => {
-                if let Some(LaneTx::Remote { peer, inbox, lane }) = lanes.get(self.instance) {
-                    close(*peer, *inbox, *lane);
-                }
+                lanes.get(self.instance..=self.instance).unwrap_or(&[])
             }
-            (InboxLanes::PerConsumer(lanes), _) => {
-                for l in lanes {
-                    if let LaneTx::Remote { peer, inbox, lane } = l {
-                        close(*peer, *inbox, *lane);
-                    }
-                }
+            (InboxLanes::PerConsumer(lanes), _) => lanes,
+        };
+        for l in reachable {
+            if let LaneTx::Remote {
+                transport,
+                peer,
+                inbox,
+                lane,
+            } = l
+            {
+                // Best effort: the peer may already have shut down.
+                let _ = transport.send(*peer, Frame::close(*inbox, *lane));
             }
         }
     }
 
     /// Number of consumer instances reachable through this writer.
     pub fn consumer_count(&self) -> usize {
-        self.consumer_nodes.len()
+        self.consumers
     }
 
     /// The port name this writer was bound to.
@@ -779,9 +677,20 @@ impl StreamSet {
     /// schedule exploration suite) that wire a client to a hand-rolled
     /// server loop instead of standing up a full [`crate::Runtime`] layout.
     pub fn standalone(port: &str, capacity: usize) -> (StreamWriter, StreamReader) {
-        let mut inbox = Inbox::new(Delivery::Addressed, capacity, &[NodeId(0)], port);
-        let reader = inbox.take_reader(0);
-        let writer = inbox.writer(port, 0, NodeId(0), Arc::new(StreamStats::default()));
+        let (tx, rx) = bounded(capacity);
+        let counters = Arc::new(PortCounters::default());
+        let reader = StreamReader {
+            port: port.to_string(),
+            rx,
+            counters: Arc::clone(&counters),
+        };
+        let inbox = Inbox {
+            delivery: Delivery::Addressed,
+            lanes: InboxLanes::PerConsumer(vec![LaneTx::Local(tx)]),
+            readers: vec![None],
+            counters,
+        };
+        let writer = inbox.writer(port, 0, Arc::new(StreamStats::default()));
         (writer, reader)
     }
 
@@ -875,14 +784,23 @@ impl StreamSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transport::ChannelTransport;
     use std::time::Duration;
 
     fn stats() -> Arc<StreamStats> {
         Arc::new(StreamStats::default())
     }
 
+    /// A single-node inbox; its transport is never started because every
+    /// lane is local.
+    fn inbox_with(delivery: Delivery, capacity: usize, consumers: usize) -> Inbox {
+        let transport = ChannelTransport::cluster(1).remove(0);
+        let nodes = vec![NodeId(0); consumers];
+        Inbox::new_on(delivery, capacity, &nodes, "in", 0, Arc::new(transport))
+    }
+
     fn inbox(delivery: Delivery, consumers: usize) -> Inbox {
-        Inbox::new(delivery, 8, &vec![NodeId(0); consumers], "in")
+        inbox_with(delivery, 8, consumers)
     }
 
     #[test]
@@ -890,7 +808,7 @@ mod tests {
         let mut ib = inbox(Delivery::RoundRobin, 2);
         let r0 = ib.take_reader(0);
         let r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats());
         drop(ib);
         for i in 0..6 {
             w.send(DataBuffer::tag_only(i)).expect("open");
@@ -906,7 +824,7 @@ mod tests {
     fn broadcast_each_buffer_everywhere() {
         let mut ib = inbox(Delivery::Broadcast, 3);
         let readers: Vec<_> = (0..3).map(|i| ib.take_reader(i)).collect();
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats());
         drop(ib);
         w.send(DataBuffer::tag_only(7)).expect("open");
         drop(w);
@@ -921,8 +839,8 @@ mod tests {
         let mut ib = inbox(Delivery::Aligned, 2);
         let r0 = ib.take_reader(0);
         let r1 = ib.take_reader(1);
-        let w0 = ib.writer("out", 0, NodeId(0), stats());
-        let w1 = ib.writer("out", 1, NodeId(0), stats());
+        let w0 = ib.writer("out", 0, stats());
+        let w1 = ib.writer("out", 1, stats());
         drop(ib);
         w0.send(DataBuffer::tag_only(10)).expect("open");
         w1.send(DataBuffer::tag_only(11)).expect("open");
@@ -937,7 +855,7 @@ mod tests {
     fn addressed_routes_by_destination() {
         let mut ib = inbox(Delivery::Addressed, 3);
         let readers: Vec<_> = (0..3).map(|i| ib.take_reader(i)).collect();
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats());
         drop(ib);
         w.send_to(NodeId(2), DataBuffer::tag_only(2)).expect("open");
         w.send_to(NodeId(0), DataBuffer::tag_only(0)).expect("open");
@@ -959,8 +877,8 @@ mod tests {
     fn fan_in_merges_writers() {
         let mut ib = inbox(Delivery::RoundRobin, 1);
         let r = ib.take_reader(0);
-        let w1 = ib.writer("a", 0, NodeId(0), stats());
-        let w2 = ib.writer("b", 0, NodeId(0), stats());
+        let w1 = ib.writer("a", 0, stats());
+        let w2 = ib.writer("b", 0, stats());
         drop(ib);
         w1.send(DataBuffer::tag_only(1)).expect("open");
         w2.send(DataBuffer::tag_only(2)).expect("open");
@@ -983,7 +901,7 @@ mod tests {
     fn send_fails_when_all_consumers_gone() {
         let mut ib = inbox(Delivery::RoundRobin, 1);
         let r = ib.take_reader(0);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats());
         drop(ib);
         drop(r);
         assert!(matches!(
@@ -997,7 +915,7 @@ mod tests {
         let st = stats();
         let mut ib = inbox(Delivery::RoundRobin, 1);
         let _r = ib.take_reader(0);
-        let w = ib.writer("out", 0, NodeId(0), Arc::clone(&st));
+        let w = ib.writer("out", 0, Arc::clone(&st));
         w.send(DataBuffer::from_u64s(0, &[1, 2])).expect("open");
         w.send(DataBuffer::tag_only(0)).expect("open");
         let (bufs, bytes, remote) = st.snapshot();
@@ -1007,39 +925,10 @@ mod tests {
     }
 
     #[test]
-    fn remote_bytes_counted_across_nodes() {
-        let st = stats();
-        let mut ib = Inbox::new(Delivery::Broadcast, 4, &[NodeId(0), NodeId(1)], "in");
-        let _r0 = ib.take_reader(0);
-        let _r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), Arc::clone(&st));
-        w.send(DataBuffer::tag_only(0)).expect("open");
-        let (_, bytes, remote) = st.snapshot();
-        assert_eq!(bytes, 16);
-        assert_eq!(remote, 16, "only the NodeId(1) replica is remote");
-    }
-
-    #[test]
-    fn addressed_remote_accounting_is_per_destination() {
-        let st = stats();
-        let mut ib = Inbox::new(Delivery::Addressed, 4, &[NodeId(0), NodeId(1)], "in");
-        let _r0 = ib.take_reader(0);
-        let _r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), Arc::clone(&st));
-        w.send_to(NodeId(0), DataBuffer::tag_only(0))
-            .expect("local");
-        w.send_to(NodeId(1), DataBuffer::tag_only(0))
-            .expect("remote");
-        let (_, bytes, remote) = st.snapshot();
-        assert_eq!(bytes, 32);
-        assert_eq!(remote, 16);
-    }
-
-    #[test]
     fn backpressure_blocks_then_resumes() {
-        let mut ib = Inbox::new(Delivery::RoundRobin, 2, &[NodeId(0)], "in");
+        let mut ib = inbox_with(Delivery::RoundRobin, 2, 1);
         let r = ib.take_reader(0);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats());
         drop(ib);
         w.send(DataBuffer::tag_only(0)).expect("open");
         w.send(DataBuffer::tag_only(1)).expect("open");
@@ -1057,8 +946,8 @@ mod tests {
         let mut b = inbox(Delivery::RoundRobin, 1);
         let ra = a.take_reader(0);
         let rb = b.take_reader(0);
-        let wa = a.writer("out", 0, NodeId(0), stats());
-        let wb = b.writer("out", 0, NodeId(0), stats());
+        let wa = a.writer("out", 0, stats());
+        let wb = b.writer("out", 0, stats());
         drop((a, b));
         wa.send(DataBuffer::tag_only(1)).expect("open");
         wb.send(DataBuffer::tag_only(2)).expect("open");
@@ -1079,8 +968,8 @@ mod tests {
         let mut b = inbox(Delivery::RoundRobin, 1);
         let ra = a.take_reader(0);
         let rb = b.take_reader(0);
-        let wa = a.writer("out", 0, NodeId(0), stats());
-        let wb = b.writer("out", 0, NodeId(0), stats());
+        let wa = a.writer("out", 0, stats());
+        let wb = b.writer("out", 0, stats());
         drop((a, b));
         let mut set = StreamSet::new(vec![ra, rb]);
         assert!(matches!(
@@ -1112,7 +1001,7 @@ mod tests {
         let counters = Arc::clone(&ib.counters);
         let r0 = ib.take_reader(0);
         let r1 = ib.take_reader(1);
-        let w = ib.writer("out", 0, NodeId(0), stats());
+        let w = ib.writer("out", 0, stats());
         drop(ib);
         w.send(DataBuffer::from_u64s(1, &[1, 2, 3])).expect("open");
         w.send(DataBuffer::from_u64s(2, &[4])).expect("open");
@@ -1165,7 +1054,7 @@ mod tests {
             faultline::enable();
             let mut ib = inbox(Delivery::RoundRobin, 1);
             let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
+            let w = ib.writer("out", 0, stats());
             drop(ib);
             w.send(DataBuffer::tag_only(1)).expect("dropped, not error");
             w.send(DataBuffer::tag_only(2)).expect("open");
@@ -1184,7 +1073,7 @@ mod tests {
             faultline::enable();
             let mut ib = inbox(Delivery::Addressed, 1);
             let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
+            let w = ib.writer("out", 0, stats());
             drop(ib);
             w.send_to(NodeId(0), DataBuffer::tag_only(1))
                 .expect("held back");
@@ -1205,7 +1094,7 @@ mod tests {
             faultline::enable();
             let mut ib = inbox(Delivery::RoundRobin, 1);
             let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
+            let w = ib.writer("out", 0, stats());
             drop(ib);
             w.send(DataBuffer::tag_only(9)).expect("held back");
             drop(w); // no later message overtakes it — the drop flush emits it
@@ -1226,7 +1115,7 @@ mod tests {
             faultline::enable();
             let mut ib = inbox(Delivery::RoundRobin, 1);
             let r = ib.take_reader(0);
-            let w = ib.writer("out", 0, NodeId(0), stats());
+            let w = ib.writer("out", 0, stats());
             drop(ib);
             w.send(DataBuffer::tag_only(42)).expect("exempt");
             w.send(DataBuffer::tag_only(7)).expect("dropped silently");

@@ -1,8 +1,8 @@
 //! Transport abstraction: how frames move between nodes.
 //!
 //! The stream layer ([`crate::stream`]) routes a [`crate::buffer::DataBuffer`]
-//! either into a local channel lane (consumer in this process) or into a
-//! [`Frame`] handed to a [`Transport`] (consumer on another node). The
+//! either into a local channel lane (consumer on the producer's node) or
+//! into a [`Frame`] handed to a [`Transport`] (consumer on another node). The
 //! transport is *only* a reliable, ordered, per-peer frame pipe — all
 //! delivery semantics (fan-in, broadcast, alignment, addressing, close
 //! refcounts) live above it, so swapping transports cannot change routing
@@ -10,10 +10,11 @@
 //!
 //! Two implementations ship:
 //!
-//! * [`ChannelTransport`] — in-process bounded channels between "nodes" that
-//!   are really thread groups. The default for tests, shuttle exploration,
-//!   and race recording; also the semantic reference the TCP path is checked
-//!   against.
+//! * [`ChannelTransport`] — the in-process engine: bounded channels between
+//!   "nodes" that are really thread groups. [`crate::Runtime::run`] mounts
+//!   every node of a layout on one member of a [`ChannelTransport::cluster`],
+//!   so every in-process run — tests, benches, race recording — takes the
+//!   same router and frame path as a TCP run.
 //! * [`crate::tcp::TcpTransport`] — one OS process per node, length-prefixed
 //!   frames over `TcpStream` (see [`crate::codec`]).
 //!
@@ -111,13 +112,12 @@ impl ExchangeBoard {
 /// In-process transport: every "node" is a thread group in this process and
 /// frames travel over bounded channels. Semantically identical to the TCP
 /// transport (same frames, same close protocol, same backpressure shape)
-/// minus the sockets — which is exactly what makes it the reference
-/// implementation for equivalence tests.
+/// minus the sockets.
 pub struct ChannelTransport {
     node: NodeId,
     nnodes: usize,
     /// Senders toward each node, dropped on shutdown. `txs[self]` exists but
-    /// is never used (local lanes bypass the transport entirely).
+    /// is never used (same-node lanes bypass the transport entirely).
     txs: Mutex<Vec<Option<Sender<Wire>>>>,
     /// Incoming queue, taken by [`Transport::start`].
     rx: Mutex<Option<Receiver<Wire>>>,
@@ -196,6 +196,13 @@ impl Transport for ChannelTransport {
         let rx = self.rx.lock().take().ok_or_else(|| {
             FsError::Transport(format!("transport on {} already started", self.node))
         })?;
+        if self.nnodes == 1 {
+            // No peer can ever send to a lone node, so there is nothing to
+            // pump. An idle pump thread per single-node run raises the peak
+            // RSS of a 48-apply out-of-core Lanczos solve (one runtime job
+            // per apply) by about 20% on a 2-CPU host.
+            return Ok(());
+        }
         let handle = std::thread::Builder::new()
             .name(format!("fs-pump-{}", self.node))
             .spawn(move || loop {

@@ -1,8 +1,9 @@
 //! Multi-process-shaped integration tests: the same iterated-SpMV workload
-//! run (a) classically in one process, (b) distributed over the in-process
-//! channel transport, and (c) distributed over real loopback TCP sockets.
-//! All three must produce *bitwise* identical final vectors — the transport
-//! is pure plumbing and must never change a floating-point reduction order.
+//! run (a) in one process, where `Runtime::run` mounts every node on an
+//! in-process channel transport, and (b) distributed over real loopback TCP
+//! sockets. Both must produce *bitwise* identical final vectors — the
+//! transport is pure plumbing and must never change a floating-point
+//! reduction order.
 
 use dooc::core::{DoocConfig, DoocRuntime};
 use dooc::filterstream::{ChannelTransport, ClusterSpec, TcpTransport, Transport};
@@ -98,13 +99,13 @@ fn run_over(tag: &str, transports: Vec<Arc<dyn Transport>>, mode: IterationMode)
     x
 }
 
-fn run_classic(tag: &str, mode: IterationMode) -> Vec<f64> {
+fn run_in_process(tag: &str, mode: IterationMode) -> Vec<f64> {
     let (base, app) = stage(tag, mode);
     let (graph, external, geometry) = app.build();
     let cfg = config_for(base.scratch_dirs.clone(), &geometry);
     DoocRuntime::new(cfg)
         .run(graph, external, Arc::new(SpmvExecutor))
-        .expect("classic run");
+        .expect("in-process run");
     let x = app
         .collect_final_vector(&base.scratch_dirs)
         .expect("final vector");
@@ -153,25 +154,11 @@ fn assert_bitwise(label: &str, got: &[f64], want: &[f64]) {
     }
 }
 
-fn channel_cluster() -> Vec<Arc<dyn Transport>> {
-    ChannelTransport::cluster(NNODES)
-        .into_iter()
-        .map(|t| Arc::new(t) as Arc<dyn Transport>)
-        .collect()
-}
-
-#[test]
-fn channel_transport_matches_classic_run_bitwise() {
-    let classic = run_classic("dist-classic", IterationMode::Barrier);
-    let chan = run_over("dist-chan", channel_cluster(), IterationMode::Barrier);
-    assert_bitwise("channel vs classic", &chan, &classic);
-}
-
 #[test]
 fn tcp_transport_matches_classic_run_bitwise() {
-    let classic = run_classic("dist-classic-tcp", IterationMode::Barrier);
+    let in_process = run_in_process("dist-classic-tcp", IterationMode::Barrier);
     let tcp = run_over("dist-tcp", tcp_pair(), IterationMode::Barrier);
-    assert_bitwise("tcp vs classic", &tcp, &classic);
+    assert_bitwise("tcp vs in-process", &tcp, &in_process);
 }
 
 // ---------------------------------------------------------------------------
@@ -183,27 +170,20 @@ fn tcp_transport_matches_classic_run_bitwise() {
 // ---------------------------------------------------------------------------
 
 #[test]
-fn frontier_matches_barrier_classic_bitwise() {
-    let barrier = run_classic("dist-front-cb", IterationMode::Barrier);
-    let frontier = run_classic("dist-front-cf", IterationMode::Frontier);
-    assert_bitwise("frontier vs barrier (classic)", &frontier, &barrier);
-}
-
-#[test]
-fn frontier_matches_barrier_over_channel_transport() {
-    let barrier = run_classic("dist-front-chb", IterationMode::Barrier);
-    let frontier = run_over("dist-front-chf", channel_cluster(), IterationMode::Frontier);
-    assert_bitwise("frontier vs barrier (channel)", &frontier, &barrier);
+fn frontier_matches_barrier_in_process() {
+    let barrier = run_in_process("dist-front-cb", IterationMode::Barrier);
+    let frontier = run_in_process("dist-front-cf", IterationMode::Frontier);
+    assert_bitwise("frontier vs barrier (in-process)", &frontier, &barrier);
 }
 
 #[test]
 fn frontier_matches_barrier_over_tcp_sockets() {
-    let barrier = run_classic("dist-front-tb", IterationMode::Barrier);
+    let barrier = run_in_process("dist-front-tb", IterationMode::Barrier);
     let frontier = run_over("dist-front-tf", tcp_pair(), IterationMode::Frontier);
     assert_bitwise("frontier vs barrier (tcp)", &frontier, &barrier);
 }
 
-/// One fully parameterized classic run: stages a k×k grid of an n-order
+/// One fully parameterized in-process run: stages a k×k grid of an n-order
 /// matrix across `nnodes` striped owners and executes `iters` iterations.
 #[allow(clippy::too_many_arguments)]
 fn run_case(
@@ -238,7 +218,7 @@ fn run_case(
     let cfg = config_for(base.scratch_dirs.clone(), &geometry);
     DoocRuntime::new(cfg)
         .run(graph, external, Arc::new(SpmvExecutor))
-        .expect("classic run");
+        .expect("in-process run");
     let x = app
         .collect_final_vector(&base.scratch_dirs)
         .expect("final vector");
